@@ -4,7 +4,9 @@
 #include <cerrno>
 #include <climits>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 namespace declust {
@@ -79,6 +81,46 @@ Result<double> ParseDouble(std::string_view s, double min, double max) {
                                    std::to_string(max) + "]");
   }
   return v;
+}
+
+std::string_view Trim(std::string_view s) {
+  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
+    s.remove_prefix(1);
+  }
+  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
+    s.remove_suffix(1);
+  }
+  return s;
+}
+
+Result<double> ParseTimeMs(std::string_view prefix, std::string_view s,
+                           std::string_view what) {
+  double scale = 1000.0;  // bare numbers are seconds
+  if (s.size() >= 2 && s.substr(s.size() - 2) == "ms") {
+    scale = 1.0;
+    s.remove_suffix(2);
+  } else if (!s.empty() && s.back() == 's') {
+    s.remove_suffix(1);
+  }
+  auto v = ParseDouble(s, 0.0, std::numeric_limits<double>::max());
+  if (!v.ok()) {
+    return Status::InvalidArgument(std::string(prefix) + ": bad " +
+                                   std::string(what) + " value '" +
+                                   std::string(s) + "'");
+  }
+  return *v * scale;
+}
+
+std::string FormatMs(double ms) {
+  char buf[64];
+  if (ms == static_cast<double>(static_cast<int64_t>(ms)) &&
+      static_cast<int64_t>(ms) % 1000 == 0) {
+    std::snprintf(buf, sizeof(buf), "%llds",
+                  static_cast<long long>(ms) / 1000);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%gms", ms);
+  }
+  return buf;
 }
 
 }  // namespace declust

@@ -6,9 +6,13 @@
 // number, it must fit the target type, and it must lie inside the caller's
 // closed range — anything else is an InvalidArgument naming the offending
 // text, so tools can fail fast with a usage message.
+//
+// The ';'-separated plan grammars (--faults, --recovery, --resize, --open,
+// --control) share the token helpers below.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "src/common/result.h"
@@ -27,5 +31,18 @@ Result<int> ParseInt(std::string_view s, int min, int max);
 /// Parses a finite double; the entire string must be consumed. Rejects
 /// empty input, trailing junk, NaN/Inf, and values outside [min, max].
 Result<double> ParseDouble(std::string_view s, double min, double max);
+
+/// Strips leading and trailing spaces and tabs.
+std::string_view Trim(std::string_view s);
+
+/// A non-negative duration with an optional `ms` or `s` suffix (default
+/// seconds), converted to milliseconds. Failure reads
+/// "<prefix>: bad <what> value '<number>'".
+Result<double> ParseTimeMs(std::string_view prefix, std::string_view s,
+                           std::string_view what);
+
+/// The plans' ToString() form of a time: whole seconds as "Ns", anything
+/// else as "%gms".
+std::string FormatMs(double ms);
 
 }  // namespace declust

@@ -26,8 +26,9 @@
 //     which is what the no-oscillation property test pins.
 //
 // Everything the controller reads and writes is simulated-time state
-// mutated from calendar events, so control-armed runs stay byte-identical
-// for any --sim-threads count, like the rest of the system.
+// mutated from calendar events in the run's serial calendar order, so
+// control-armed runs stay byte-identical for any --jobs count, like the rest
+// of the system.
 #pragma once
 
 #include <cstdint>

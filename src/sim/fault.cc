@@ -5,19 +5,11 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "src/common/parse.h"
+
 namespace declust::sim {
 
 namespace {
-
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
 
 Result<double> ParseNumber(std::string_view s, std::string_view what) {
   const std::string buf(s);
@@ -143,18 +135,6 @@ Result<FaultEvent> ParseEvent(std::string_view item) {
                                    "' has no t=");
   }
   return ev;
-}
-
-std::string FormatMs(double ms) {
-  char buf[64];
-  if (ms == static_cast<double>(static_cast<int64_t>(ms)) &&
-      static_cast<int64_t>(ms) % 1000 == 0) {
-    std::snprintf(buf, sizeof(buf), "%llds",
-                  static_cast<long long>(ms) / 1000);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%gms", ms);
-  }
-  return buf;
 }
 
 }  // namespace

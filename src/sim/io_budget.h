@@ -10,8 +10,9 @@
 // foreground queries of disk bandwidth.
 //
 // Purely simulated-time state (no wall clock, no randomness): reservations
-// happen in calendar order, so budgeted runs stay byte-identical for any
-// --sim-threads count, the same discipline as the rest of src/sim.
+// happen in the run's serial calendar order, so budgeted runs stay
+// byte-identical for any --jobs count, the same discipline as the rest of
+// src/sim.
 #pragma once
 
 #include <cstddef>

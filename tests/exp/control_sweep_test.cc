@@ -2,8 +2,8 @@
 // duplicate --offered regression), machine sizing for the scale ceiling,
 // the ctl_* CSV columns and per-decision timeline, controller-shed
 // conservation under audit, format compatibility of unarmed runs, and the
-// determinism gates — byte-identical CSV across job counts and across
-// --sim-threads, with and without faults.
+// determinism gate — byte-identical CSV across job counts, with and without
+// faults.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -183,48 +183,24 @@ TEST(ControlSweepTest, ControllerShedsAreCountedAndConserved) {
 }
 
 TEST(ControlSweepTest, ControlColumnsAreIdenticalAcrossJobCounts) {
-  ExperimentConfig cfg = ControlConfig();
-  cfg.repeats = 2;
-  RunnerOptions serial;
-  serial.jobs = 1;
-  RunnerOptions parallel;
-  parallel.jobs = 4;
-  auto a = RunThroughputSweep(cfg, serial);
-  auto b = RunThroughputSweep(cfg, parallel);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_EQ(CsvOf(*a), CsvOf(*b));
-}
-
-TEST(ControlSweepTest, ControlColumnsAreIdenticalUnderWindowedSimThreads) {
-  RunnerOptions opts;
-  opts.jobs = 1;
-  auto serial = RunThroughputSweep(ControlConfig(), opts);
-  ExperimentConfig threaded_cfg = ControlConfig();
-  threaded_cfg.sim_threads = 4;
-  auto threaded = RunThroughputSweep(threaded_cfg, opts);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-  // PrintCsv emits measured rows only, so the windowed scheduler must
-  // reproduce the armed controller's run byte for byte.
-  EXPECT_EQ(CsvOf(*serial), CsvOf(*threaded));
-}
-
-TEST(ControlSweepTest, FaultArmedControlRunsAreIdenticalUnderSimThreads) {
   // The controller riding out a mid-run disk fault is the hardest
   // interleaving: membership actions, failover retries and the observation
-  // windows all race — and must still replay identically windowed.
-  ExperimentConfig cfg = ControlConfig();
-  cfg.faults = "disk:node1@t=1s";
-  RunnerOptions opts;
-  opts.jobs = 1;
-  auto serial = RunThroughputSweep(cfg, opts);
-  ExperimentConfig threaded_cfg = cfg;
-  threaded_cfg.sim_threads = 4;
-  auto threaded = RunThroughputSweep(threaded_cfg, opts);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-  EXPECT_EQ(CsvOf(*serial), CsvOf(*threaded));
+  // windows all race on the calendar — and must still replay identically.
+  ExperimentConfig faulted = ControlConfig();
+  faulted.faults = "disk:node1@t=1s";
+  for (ExperimentConfig cfg : {ControlConfig(), faulted}) {
+    SCOPED_TRACE(cfg.faults.empty() ? "healthy" : cfg.faults);
+    cfg.repeats = 2;
+    RunnerOptions serial;
+    serial.jobs = 1;
+    RunnerOptions parallel;
+    parallel.jobs = 4;
+    auto a = RunThroughputSweep(cfg, serial);
+    auto b = RunThroughputSweep(cfg, parallel);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(CsvOf(*a), CsvOf(*b));
+  }
 }
 
 TEST(ControlSweepTest, AuditedControlRunIsCleanAndUnchanged) {
