@@ -183,24 +183,36 @@ TEST(ControlSweepTest, ControllerShedsAreCountedAndConserved) {
 }
 
 TEST(ControlSweepTest, ControlColumnsAreIdenticalAcrossJobCounts) {
+  ExperimentConfig cfg = ControlConfig();
+  cfg.repeats = 2;
+  RunnerOptions serial;
+  serial.jobs = 1;
+  RunnerOptions parallel;
+  parallel.jobs = 4;
+  auto a = RunThroughputSweep(cfg, serial);
+  auto b = RunThroughputSweep(cfg, parallel);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(CsvOf(*a), CsvOf(*b));
+}
+
+TEST(ControlSweepTest, FaultArmedControlRunsAreIdenticalUnderSimThreads) {
   // The controller riding out a mid-run disk fault is the hardest
   // interleaving: membership actions, failover retries and the observation
-  // windows all race on the calendar — and must still replay identically.
-  ExperimentConfig faulted = ControlConfig();
-  faulted.faults = "disk:node1@t=1s";
-  for (ExperimentConfig cfg : {ControlConfig(), faulted}) {
-    SCOPED_TRACE(cfg.faults.empty() ? "healthy" : cfg.faults);
-    cfg.repeats = 2;
-    RunnerOptions serial;
-    serial.jobs = 1;
-    RunnerOptions parallel;
-    parallel.jobs = 4;
-    auto a = RunThroughputSweep(cfg, serial);
-    auto b = RunThroughputSweep(cfg, parallel);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(CsvOf(*a), CsvOf(*b));
-  }
+  // windows all race on the calendar — and must still replay identically
+  // when the sweep's simulations run on four worker threads.
+  ExperimentConfig cfg = ControlConfig();
+  cfg.faults = "disk:node1@t=1s";
+  cfg.repeats = 2;
+  RunnerOptions serial;
+  serial.jobs = 1;
+  RunnerOptions threaded;
+  threaded.jobs = 4;
+  auto a = RunThroughputSweep(cfg, serial);
+  auto b = RunThroughputSweep(cfg, threaded);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(CsvOf(*a), CsvOf(*b));
 }
 
 TEST(ControlSweepTest, AuditedControlRunIsCleanAndUnchanged) {
