@@ -47,6 +47,35 @@ void BM_RebalanceDiagonal(benchmark::State& state) {
 }
 BENCHMARK(BM_RebalanceDiagonal)->Arg(32)->Arg(64);
 
+// MAGIC's directory on the scale_setup workload (500k correlated tuples, 128
+// processors): 289x288 cells of which ~400 along the diagonal hold tuples.
+// The argument is restrict_to_dim (1 = the coarse dimension, -1 = both), the
+// two climbs MagicPartitioning::Create runs.
+void BM_RebalanceScaleSetup(benchmark::State& state) {
+  const int restrict_to_dim = static_cast<int>(state.range(0));
+  const std::vector<int> dims = {289, 288};
+  std::vector<int64_t> weights(static_cast<size_t>(dims[0]) * dims[1], 0);
+  for (int i = 0; i < dims[0]; ++i) {
+    const int j = i * dims[1] / dims[0];
+    weights[static_cast<size_t>(i) * dims[1] + j] = 1000;
+    if (i % 5 < 2 && j + 1 < dims[1]) {
+      weights[static_cast<size_t>(i) * dims[1] + j + 1] = 500;
+    }
+  }
+  auto base = decluster::TiledAssignment(dims, 128, {1.0, 1.0});
+  for (auto _ : state) {
+    auto assignment = *base;
+    auto result = decluster::HillClimbRebalance(
+        dims, weights, 128, &assignment, 500, restrict_to_dim);
+    benchmark::DoNotOptimize(result.spread_after);
+    benchmark::DoNotOptimize(assignment.data());
+  }
+}
+BENCHMARK(BM_RebalanceScaleSetup)
+    ->Arg(1)
+    ->Arg(-1)
+    ->Unit(benchmark::kMillisecond);
+
 // Not a timing benchmark: prints the ablation table comparing tiled vs
 // round-robin assignment quality on the paper's directory shapes.
 void BM_QualityReport(benchmark::State& state) {

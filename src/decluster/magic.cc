@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 namespace declust::decluster {
 
@@ -57,11 +58,28 @@ Result<std::unique_ptr<MagicPartitioning>> MagicPartitioning::Create(
       point[static_cast<size_t>(d)] =
           relation.value(rid, schema_attrs[static_cast<size_t>(d)]);
     }
-    DECLUST_RETURN_NOT_OK(part->grid_->Insert(point, rid));
+    DECLUST_RETURN_NOT_OK(
+        part->grid_->Insert(std::span<const Value>(point), rid));
+  }
+
+  // Every tuple's cell in the final directory, computed once: it gives both
+  // the per-cell weights and, after the assignment, the tuple's home.
+  const int64_t card = relation.cardinality();
+  std::vector<int64_t> tuple_cell(static_cast<size_t>(card));
+  part->cell_weights_.assign(
+      static_cast<size_t>(part->grid_->directory().num_cells()), 0);
+  for (int64_t i = 0; i < card; ++i) {
+    const auto rid = static_cast<RecordId>(i);
+    for (int d = 0; d < k; ++d) {
+      point[static_cast<size_t>(d)] =
+          relation.value(rid, schema_attrs[static_cast<size_t>(d)]);
+    }
+    const int64_t cell = part->grid_->CellOfPoint(point);
+    tuple_cell[static_cast<size_t>(i)] = cell;
+    ++part->cell_weights_[static_cast<size_t>(cell)];
   }
 
   // Assignment of directory entries to processors.
-  part->cell_weights_ = part->grid_->CellHistogram();
   const std::vector<int>& dims = part->grid_->directory().dims();
   DECLUST_ASSIGN_OR_RETURN(
       part->cell_nodes_, TiledAssignment(dims, num_nodes, part->plan_.mi));
@@ -104,16 +122,9 @@ Result<std::unique_ptr<MagicPartitioning>> MagicPartitioning::Create(
   }
 
   // Final tuple placement follows the directory.
-  std::vector<int> home(static_cast<size_t>(relation.cardinality()));
-  for (int64_t i = 0; i < relation.cardinality(); ++i) {
-    const auto rid = static_cast<RecordId>(i);
-    for (int d = 0; d < k; ++d) {
-      point[static_cast<size_t>(d)] =
-          relation.value(rid, schema_attrs[static_cast<size_t>(d)]);
-    }
-    const int64_t cell = part->grid_->CellOfPoint(point);
-    home[static_cast<size_t>(i)] =
-        part->cell_nodes_[static_cast<size_t>(cell)];
+  std::vector<int> home(static_cast<size_t>(card));
+  for (size_t i = 0; i < home.size(); ++i) {
+    home[i] = part->cell_nodes_[static_cast<size_t>(tuple_cell[i])];
   }
   part->SetAssignment(num_nodes, std::move(home));
   return part;

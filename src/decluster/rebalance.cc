@@ -1,8 +1,10 @@
 #include "src/decluster/rebalance.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdlib>
+#include <functional>
 
 namespace declust::decluster {
 
@@ -37,6 +39,18 @@ int64_t SumSquares(const std::vector<int64_t>& loads) {
   int64_t s = 0;
   for (int64_t l : loads) s += l * l;
   return s;
+}
+
+// Keeps `top` (first *size entries) as the `top.size()` smallest elements
+// seen so far under the strict total order `before`, in order — the prefix
+// std::partial_sort would produce over the same elements.
+template <typename T, size_t K, typename Before>
+void InsertTopK(std::array<T, K>& top, size_t* size, const T& v,
+                Before before) {
+  if (*size == K && !before(v, top[K - 1])) return;
+  size_t i = *size < K ? (*size)++ : K - 1;
+  for (; i > 0 && before(v, top[i - 1]); --i) top[i] = top[i - 1];
+  top[i] = v;
 }
 
 }  // namespace
@@ -77,6 +91,51 @@ RebalanceResult HillClimbRebalance(const std::vector<int>& dims,
     }
   }
 
+  // Sparse line index over the fixed weights, built for the dimensions the
+  // climb may swap. weighted[d][s]: in line order, the bases of the lines
+  // whose cell in slice s has non-zero weight. A line where both cells of a
+  // candidate pair weigh zero contributes no load delta, so scoring a pair
+  // over the union of its two lists equals scoring it over every line.
+  // heavy_lines[d]: the bases of the lines holding a positive-weight cell —
+  // the only lines that can yield targeted candidate pairs.
+  constexpr int kMaxCandidates = 48;
+  std::vector<std::vector<std::vector<int64_t>>> weighted(
+      static_cast<size_t>(k));
+  std::vector<std::vector<int64_t>> heavy_lines(static_cast<size_t>(k));
+  for (int d = 0; d < k; ++d) {
+    if (restrict_to_dim >= 0 && d != restrict_to_dim) continue;
+    const auto du = static_cast<size_t>(d);
+    const int nd = dims[du];
+    if (nd < 2) continue;
+    weighted[du].resize(static_cast<size_t>(nd));
+    for (int64_t c = 0; c < n; ++c) {
+      const int64_t w = cell_weights[static_cast<size_t>(c)];
+      if (w == 0) continue;
+      const int s = static_cast<int>((c / stride[du]) % nd);
+      const int64_t base = c - s * stride[du];
+      weighted[du][static_cast<size_t>(s)].push_back(base);
+      if (w > 0 && nd > kMaxCandidates) heavy_lines[du].push_back(base);
+    }
+    std::sort(heavy_lines[du].begin(), heavy_lines[du].end());
+    heavy_lines[du].erase(
+        std::unique(heavy_lines[du].begin(), heavy_lines[du].end()),
+        heavy_lines[du].end());
+  }
+
+  // Per-iteration scratch: candidate pairs, per-processor load deltas of one
+  // candidate swap, and a line's top heavy and light cells.
+  constexpr size_t kMaxPairs = 4096;
+  constexpr int kHeavyPerLine = 2;
+  constexpr int kLightPerLine = 4;
+  std::vector<std::pair<int, int>> pairs;
+  std::vector<std::pair<int, int64_t>> deltas;
+  std::array<std::pair<int64_t, int>, kHeavyPerLine> heavy;  // (load, slice)
+  std::array<std::pair<int64_t, int>, kLightPerLine> light;  // (load+w, slice)
+  const auto heavier = [](const std::pair<int64_t, int>& a,
+                          const std::pair<int64_t, int>& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  };
+
   int64_t potential = SumSquares(loads);
   while (result.swaps < max_swaps) {
     const Spread cur = FindSpread(loads);
@@ -85,7 +144,6 @@ RebalanceResult HillClimbRebalance(const std::vector<int>& dims,
     // Best slice-pair swap by reduction of the pmax-pmin weight difference.
     // For large dimensions, restrict the search to the slices most involved
     // with the two extreme processors (keeps each iteration near-linear).
-    constexpr int kMaxCandidates = 48;
     int best_dim = -1, best_s1 = -1, best_s2 = -1;
     int64_t best_reduction = 0;
     for (int d = 0; d < k; ++d) {
@@ -99,51 +157,30 @@ RebalanceResult HillClimbRebalance(const std::vector<int>& dims,
       // one, swapping those two slices is guaranteed to move weight from
       // pmax toward pmin (the paper's "switch two rows or two columns to
       // reduce the weight difference between these two processors").
-      std::vector<std::pair<int, int>> pairs;
+      pairs.clear();
       if (nd <= kMaxCandidates) {
         for (int s1 = 0; s1 < nd; ++s1) {
           for (int s2 = s1 + 1; s2 < nd; ++s2) pairs.emplace_back(s1, s2);
         }
       } else {
-        constexpr size_t kMaxPairs = 4096;
-        constexpr int kHeavyPerLine = 2;
-        constexpr int kLightPerLine = 4;
-        std::vector<std::pair<int64_t, int>> heavy;  // (owner load, slice)
-        std::vector<std::pair<int64_t, int>> light;  // (load + weight, slice)
-        for (int64_t base : bases[du]) {
+        for (int64_t base : heavy_lines[du]) {
           // In this line: weight-bearing cells with the most-loaded owners,
           // paired against the cells whose owners (after receiving that
           // weight) would be least loaded. Swapping such slices moves
           // weight downhill; several options per line keep the hill climb
-          // from stalling in entangled local optima.
-          heavy.clear();
-          light.clear();
+          // from stalling in entangled local optima. Ties on load break
+          // toward the smallest slice id in both directions, so the
+          // candidate set — and with it the whole climb — is a pure
+          // function of the weights.
+          size_t nh = 0, nl = 0;
           for (int s = 0; s < nd; ++s) {
             const auto c = static_cast<size_t>(base + s * stride[du]);
-            const int a = (*assignment)[c];
-            const int64_t la = loads[static_cast<size_t>(a)];
-            if (cell_weights[c] > 0) heavy.emplace_back(la, s);
-            light.emplace_back(la + cell_weights[c], s);
+            const int64_t la =
+                loads[static_cast<size_t>((*assignment)[c])];
+            if (cell_weights[c] > 0) InsertTopK(heavy, &nh, {la, s}, heavier);
+            InsertTopK(light, &nl, {la + cell_weights[c], s},
+                       std::less<std::pair<int64_t, int>>());
           }
-          // Ties on load break toward the smallest slice id in both
-          // directions, so the candidate set — and with it the whole climb —
-          // is a pure function of the weights, independent of container
-          // ordering quirks.
-          std::partial_sort(
-              heavy.begin(),
-              heavy.begin() +
-                  std::min<size_t>(heavy.size(), kHeavyPerLine),
-              heavy.end(), [](const std::pair<int64_t, int>& a,
-                              const std::pair<int64_t, int>& b) {
-                return a.first != b.first ? a.first > b.first
-                                          : a.second < b.second;
-              });
-          std::partial_sort(light.begin(),
-                            light.begin() + std::min<size_t>(light.size(),
-                                                             kLightPerLine),
-                            light.end());
-          const size_t nh = std::min<size_t>(heavy.size(), kHeavyPerLine);
-          const size_t nl = std::min<size_t>(light.size(), kLightPerLine);
           for (size_t hi = 0; hi < nh; ++hi) {
             for (size_t li = 0; li < nl; ++li) {
               const int s1 = heavy[hi].second;
@@ -157,47 +194,63 @@ RebalanceResult HillClimbRebalance(const std::vector<int>& dims,
         std::sort(pairs.begin(), pairs.end());
         pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
       }
-      // Scratch for per-processor load deltas of one candidate swap.
-      std::vector<std::pair<int, int64_t>> deltas;
       for (const auto& [s1, s2] : pairs) {
-        {
-          deltas.clear();
-          const int64_t off1 = s1 * stride[du];
-          const int64_t off2 = s2 * stride[du];
-          for (int64_t base : bases[du]) {
-            const auto c1 = static_cast<size_t>(base + off1);
-            const auto c2 = static_cast<size_t>(base + off2);
-            const int a1 = (*assignment)[c1];
-            const int a2 = (*assignment)[c2];
-            if (a1 == a2) continue;
-            const int64_t w1 = cell_weights[c1];
-            const int64_t w2 = cell_weights[c2];
-            if (w1 == w2) continue;
-            // After the swap, a1 owns c2's weight and a2 owns c1's.
-            deltas.emplace_back(a1, w2 - w1);
-            deltas.emplace_back(a2, w1 - w2);
-          }
-          if (deltas.empty()) continue;
-          // Net change of the sum-of-squares potential. Deltas for the same
-          // processor must be merged before squaring.
-          std::sort(deltas.begin(), deltas.end());
-          int64_t dpot = 0;
-          for (size_t i = 0; i < deltas.size();) {
-            const int p = deltas[i].first;
-            int64_t dp = 0;
-            for (; i < deltas.size() && deltas[i].first == p; ++i) {
-              dp += deltas[i].second;
+        deltas.clear();
+        const int64_t off1 = s1 * stride[du];
+        const int64_t off2 = s2 * stride[du];
+        const auto add_line = [&](int64_t base) {
+          const auto c1 = static_cast<size_t>(base + off1);
+          const auto c2 = static_cast<size_t>(base + off2);
+          const int a1 = (*assignment)[c1];
+          const int a2 = (*assignment)[c2];
+          if (a1 == a2) return;
+          const int64_t w1 = cell_weights[c1];
+          const int64_t w2 = cell_weights[c2];
+          if (w1 == w2) return;
+          // After the swap, a1 owns c2's weight and a2 owns c1's.
+          deltas.emplace_back(a1, w2 - w1);
+          deltas.emplace_back(a2, w1 - w2);
+        };
+        // Walk the union of the two slices' weighted lines in line order;
+        // when the lists cover most lines anyway (dense weights), scanning
+        // every line is cheaper and visits the same contributing lines.
+        const auto& l1 = weighted[du][static_cast<size_t>(s1)];
+        const auto& l2 = weighted[du][static_cast<size_t>(s2)];
+        if (l1.size() + l2.size() >= bases[du].size()) {
+          for (int64_t base : bases[du]) add_line(base);
+        } else {
+          size_t i1 = 0, i2 = 0;
+          while (i1 < l1.size() || i2 < l2.size()) {
+            if (i2 == l2.size() || (i1 < l1.size() && l1[i1] < l2[i2])) {
+              add_line(l1[i1++]);
+            } else if (i1 == l1.size() || l2[i2] < l1[i1]) {
+              add_line(l2[i2++]);
+            } else {
+              add_line(l1[i1++]);
+              ++i2;
             }
-            const int64_t l = loads[static_cast<size_t>(p)];
-            dpot += dp * (2 * l + dp);
           }
-          const int64_t reduction = -dpot;
-          if (reduction > best_reduction) {
-            best_reduction = reduction;
-            best_dim = d;
-            best_s1 = s1;
-            best_s2 = s2;
+        }
+        if (deltas.empty()) continue;
+        // Net change of the sum-of-squares potential. Deltas for the same
+        // processor must be merged before squaring.
+        std::sort(deltas.begin(), deltas.end());
+        int64_t dpot = 0;
+        for (size_t i = 0; i < deltas.size();) {
+          const int p = deltas[i].first;
+          int64_t dp = 0;
+          for (; i < deltas.size() && deltas[i].first == p; ++i) {
+            dp += deltas[i].second;
           }
+          const int64_t l = loads[static_cast<size_t>(p)];
+          dpot += dp * (2 * l + dp);
+        }
+        const int64_t reduction = -dpot;
+        if (reduction > best_reduction) {
+          best_reduction = reduction;
+          best_dim = d;
+          best_s1 = s1;
+          best_s2 = s2;
         }
       }
     }

@@ -45,19 +45,23 @@ void FragmentStore::BuildIndexes(std::span<const RecordId> records,
                                  const CatalogOptions& opts) {
   // Clustered order on B. The sorted order is scratch: once the indexes
   // are bulk-loaded, positions (not record ids) are all the store needs.
-  std::vector<RecordId> by_b(records.begin(), records.end());
-  std::sort(by_b.begin(), by_b.end(), [&](RecordId x, RecordId y) {
-    return relation_->value(x, attr_b) < relation_->value(y, attr_b);
-  });
+  // Key-only, no rid tie-break: std::sort's moves depend only on comparison
+  // outcomes, so ties land exactly where an indirect sort of the rids put them.
+  std::vector<storage::BTreeEntry> b_entries(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    b_entries[i] = {relation_->value(records[i], attr_b), records[i]};
+  }
+  std::sort(b_entries.begin(), b_entries.end(),
+            [](const storage::BTreeEntry& x, const storage::BTreeEntry& y) {
+              return x.key < y.key;
+            });
 
   // Build both indexes over positions in clustered order.
-  std::vector<storage::BTreeEntry> b_entries(by_b.size());
-  std::vector<storage::BTreeEntry> a_entries(by_b.size());
-  for (size_t pos = 0; pos < by_b.size(); ++pos) {
-    b_entries[pos] = {relation_->value(by_b[pos], attr_b),
+  std::vector<storage::BTreeEntry> a_entries(b_entries.size());
+  for (size_t pos = 0; pos < b_entries.size(); ++pos) {
+    a_entries[pos] = {relation_->value(b_entries[pos].rid, attr_a),
                       static_cast<RecordId>(pos)};
-    a_entries[pos] = {relation_->value(by_b[pos], attr_a),
-                      static_cast<RecordId>(pos)};
+    b_entries[pos].rid = static_cast<RecordId>(pos);
   }
   std::sort(a_entries.begin(), a_entries.end(),
             [](const storage::BTreeEntry& x, const storage::BTreeEntry& y) {

@@ -151,6 +151,13 @@ class FragmentStore {
   int64_t tuple_count() const { return tuple_count_; }
   int64_t data_pages() const { return data_extent_.num_pages; }
 
+  /// The bulk-loaded indexes. Entries are (key, position in clustered
+  /// order): B is the clustered index, A the non-clustered one.
+  const storage::BPlusTree& clustered_index() const { return *clustered_b_; }
+  const storage::BPlusTree& nonclustered_index() const {
+    return *nonclustered_a_;
+  }
+
   /// Identity of the shared index content: a backup replica returns its
   /// primary's pointer. Lets footprint accounting count shared trees once.
   const void* index_identity() const { return clustered_b_.get(); }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <sstream>
+#include <string>
 
 namespace declust::grid {
 
@@ -24,35 +25,38 @@ GridFile::GridFile(int num_dims, GridFileOptions options)
   buckets_.push_back(std::move(root));
 }
 
-std::vector<int> GridFile::CoordsOf(const std::vector<Value>& point) const {
-  std::vector<int> coords(static_cast<size_t>(k_));
+int64_t GridFile::CellIndexOf(const Value* point) const {
+  int64_t idx = 0;
   for (int d = 0; d < k_; ++d) {
-    coords[static_cast<size_t>(d)] =
-        scales_[static_cast<size_t>(d)].SliceOf(point[static_cast<size_t>(d)]);
+    idx = idx * dir_.size(d) +
+          scales_[static_cast<size_t>(d)].SliceOf(point[d]);
   }
-  return coords;
+  return idx;
 }
 
 Status GridFile::Insert(std::vector<Value> point, RecordId rid) {
+  return Insert(std::span<const Value>(point), rid);
+}
+
+Status GridFile::Insert(std::span<const Value> point, RecordId rid) {
   if (static_cast<int>(point.size()) != k_) {
     return Status::InvalidArgument("point arity != num_dims");
   }
-  const int b = dir_.bucket_at(CoordsOf(point));
-  buckets_[static_cast<size_t>(b)].entries.push_back(
-      GridEntry{std::move(point), rid});
+  const int b = dir_.bucket_at_index(CellIndexOf(point.data()));
+  Bucket& target = buckets_[static_cast<size_t>(b)];
+  target.points.insert(target.points.end(), point.begin(), point.end());
+  target.rids.push_back(rid);
   ++size_;
 
   int cur = b;
-  while (static_cast<int>(buckets_[static_cast<size_t>(cur)].entries.size()) >
-         opts_.bucket_capacity) {
-    if (!SplitBucket(cur)) break;  // degenerate: tolerate overflow
+  while (buckets_[static_cast<size_t>(cur)].size() > opts_.bucket_capacity) {
+    DECLUST_ASSIGN_OR_RETURN(const bool split, SplitBucket(cur));
+    if (!split) break;  // degenerate: tolerate overflow
     // After a split the overflowing entries may sit in either half; re-check
     // both by locating the half that still overflows (if any).
-    const Bucket& bk = buckets_[static_cast<size_t>(cur)];
-    if (static_cast<int>(bk.entries.size()) <= opts_.bucket_capacity) {
+    if (buckets_[static_cast<size_t>(cur)].size() <= opts_.bucket_capacity) {
       const int nb = static_cast<int>(buckets_.size()) - 1;
-      if (static_cast<int>(buckets_[static_cast<size_t>(nb)].entries.size()) >
-          opts_.bucket_capacity) {
+      if (buckets_[static_cast<size_t>(nb)].size() > opts_.bucket_capacity) {
         cur = nb;
       } else {
         break;
@@ -69,7 +73,7 @@ double GridFile::SplitDeficit(int dim) const {
          w;
 }
 
-bool GridFile::SplitBucket(int b) {
+Result<bool> GridFile::SplitBucket(int b) {
   Bucket& bucket = buckets_[static_cast<size_t>(b)];
   // Prefer a region split (no directory growth). Among dimensions where the
   // bucket's box spans more than one slice, pick the most deserving by the
@@ -90,7 +94,7 @@ bool GridFile::SplitBucket(int b) {
     RegionSplit(b, region_dim);
     return true;
   }
-  const int cut_dim = TryAddCut(b);
+  DECLUST_ASSIGN_OR_RETURN(const int cut_dim, TryAddCut(b));
   if (cut_dim < 0) return false;
   // The box now spans two slices along cut_dim; finish with a region split.
   RegionSplit(b, cut_dim);
@@ -109,15 +113,32 @@ void GridFile::RegionSplit(int b, int d) {
   upper.lo[du] = mid + 1;
   bucket.hi[du] = mid;
 
-  // Move entries whose slice along d falls in the upper half.
-  auto& entries = bucket.entries;
-  auto pivot = std::partition(
-      entries.begin(), entries.end(), [&](const GridEntry& e) {
-        return scales_[du].SliceOf(e.point[du]) <= mid;
-      });
-  upper.entries.assign(std::make_move_iterator(pivot),
-                       std::make_move_iterator(entries.end()));
-  entries.erase(pivot, entries.end());
+  // Move entries whose slice along d falls in the upper half. Partitioning
+  // entry indices with std::partition performs the same swaps it would on
+  // the entries themselves, so both halves keep the entry order of a
+  // partition over whole entries.
+  const auto k = static_cast<size_t>(k_);
+  std::vector<int> order(static_cast<size_t>(bucket.size()));
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  const auto pivot = std::partition(order.begin(), order.end(), [&](int i) {
+    return scales_[du].SliceOf(
+               bucket.points[static_cast<size_t>(i) * k + du]) <= mid;
+  });
+  Bucket lower;
+  const auto gather = [&](auto first, auto last, Bucket* out) {
+    out->points.reserve(static_cast<size_t>(last - first) * k);
+    out->rids.reserve(static_cast<size_t>(last - first));
+    for (auto it = first; it != last; ++it) {
+      const auto i = static_cast<size_t>(*it);
+      out->points.insert(out->points.end(), bucket.points.begin() + i * k,
+                         bucket.points.begin() + (i + 1) * k);
+      out->rids.push_back(bucket.rids[i]);
+    }
+  };
+  gather(order.begin(), pivot, &lower);
+  gather(pivot, order.end(), &upper);
+  bucket.points = std::move(lower.points);
+  bucket.rids = std::move(lower.rids);
 
   const int nb = static_cast<int>(buckets_.size());
   // Reassign directory cells in the upper box. NOTE: push_back may
@@ -144,25 +165,35 @@ void GridFile::RegionSplit(int b, int d) {
   }
 }
 
-int GridFile::TryAddCut(int b) {
+Result<int> GridFile::TryAddCut(int b) {
   Bucket& bucket = buckets_[static_cast<size_t>(b)];
+  // Respect the directory-size cap: adding a cut along d multiplies the cell
+  // count by (slices_d + 1) / slices_d. Once every dimension is past the
+  // cap — the common case on correlated data, where overflow chaining takes
+  // over — no cut is possible.
+  const auto fits_cap = [&](int d) {
+    const int slices = scales_[static_cast<size_t>(d)].num_slices();
+    return dir_.num_cells() / slices * (slices + 1) <= opts_.max_cells;
+  };
+  bool any_fits = false;
+  for (int d = 0; d < k_ && !any_fits; ++d) any_fits = fits_cap(d);
+  if (!any_fits) return -1;
+
   // Dimensions ordered by split deficit (most deserving first).
   std::vector<int> order(static_cast<size_t>(k_));
   for (int d = 0; d < k_; ++d) order[static_cast<size_t>(d)] = d;
   std::sort(order.begin(), order.end(),
             [&](int a, int c) { return SplitDeficit(a) < SplitDeficit(c); });
 
+  const auto k = static_cast<size_t>(k_);
   for (int d : order) {
     const auto du = static_cast<size_t>(d);
-    // Respect the directory-size cap: adding a cut along d multiplies the
-    // cell count by (slices_d + 1) / slices_d.
-    const int64_t new_cells =
-        dir_.num_cells() / scales_[du].num_slices() *
-        (scales_[du].num_slices() + 1);
-    if (new_cells > opts_.max_cells) continue;
+    if (!fits_cap(d)) continue;
     std::vector<Value> vals;
-    vals.reserve(bucket.entries.size());
-    for (const auto& e : bucket.entries) vals.push_back(e.point[du]);
+    vals.reserve(bucket.rids.size());
+    for (size_t i = du; i < bucket.points.size(); i += k) {
+      vals.push_back(bucket.points[i]);
+    }
     std::sort(vals.begin(), vals.end());
     if (vals.front() == vals.back()) continue;  // degenerate along d
     Value cut;
@@ -196,10 +227,17 @@ int GridFile::TryAddCut(int b) {
         cut = *std::upper_bound(vals.begin(), vals.end(), vals.front());
       }
     }
+    // The cut lies strictly inside the bucket's slice, so the scale must
+    // accept it and split exactly that slice; anything else would corrupt
+    // the directory.
     auto slice = scales_[du].AddCut(cut);
-    assert(slice.ok());
+    if (!slice.ok() || *slice != bucket.lo[du]) {
+      return Status::Internal("grid file: cut " + std::to_string(cut) +
+                              " does not split slice " +
+                              std::to_string(bucket.lo[du]) + " of dimension " +
+                              std::to_string(d));
+    }
     const int s = *slice;
-    assert(s == bucket.lo[du]);
     dir_.DuplicateSlice(d, s);
     // Shift every bucket's box to the new slice numbering: slice s became
     // slices s and s+1.
@@ -215,9 +253,14 @@ int GridFile::TryAddCut(int b) {
 std::vector<RecordId> GridFile::PointSearch(
     const std::vector<Value>& point) const {
   std::vector<RecordId> out;
-  const int b = dir_.bucket_at(CoordsOf(point));
-  for (const auto& e : buckets_[static_cast<size_t>(b)].entries) {
-    if (e.point == point) out.push_back(e.rid);
+  if (static_cast<int>(point.size()) != k_) return out;
+  const Bucket& bk =
+      buckets_[static_cast<size_t>(dir_.bucket_at_index(CellOfPoint(point)))];
+  const auto k = static_cast<size_t>(k_);
+  for (size_t i = 0; i < bk.rids.size(); ++i) {
+    if (std::equal(point.begin(), point.end(), bk.points.begin() + i * k)) {
+      out.push_back(bk.rids[i]);
+    }
   }
   return out;
 }
@@ -251,11 +294,15 @@ std::vector<int64_t> GridFile::CellsOverlapping(
 }
 
 std::vector<GridEntry> GridFile::EntriesInCell(int64_t cell_index) const {
-  const std::vector<int> coords = dir_.CellCoords(cell_index);
-  const int b = dir_.bucket_at_index(cell_index);
+  const Bucket& bk =
+      buckets_[static_cast<size_t>(dir_.bucket_at_index(cell_index))];
+  const auto k = static_cast<size_t>(k_);
   std::vector<GridEntry> out;
-  for (const auto& e : buckets_[static_cast<size_t>(b)].entries) {
-    if (CoordsOf(e.point) == coords) out.push_back(e);
+  for (size_t i = 0; i < bk.rids.size(); ++i) {
+    const Value* p = bk.points.data() + i * k;
+    if (CellIndexOf(p) == cell_index) {
+      out.push_back(GridEntry{std::vector<Value>(p, p + k), bk.rids[i]});
+    }
   }
   return out;
 }
@@ -263,8 +310,9 @@ std::vector<GridEntry> GridFile::EntriesInCell(int64_t cell_index) const {
 std::vector<int64_t> GridFile::CellHistogram() const {
   std::vector<int64_t> hist(static_cast<size_t>(dir_.num_cells()), 0);
   for (const auto& bucket : buckets_) {
-    for (const auto& e : bucket.entries) {
-      ++hist[static_cast<size_t>(dir_.CellIndex(CoordsOf(e.point)))];
+    for (size_t i = 0; i < bucket.points.size();
+         i += static_cast<size_t>(k_)) {
+      ++hist[static_cast<size_t>(CellIndexOf(bucket.points.data() + i))];
     }
   }
   return hist;
@@ -302,12 +350,12 @@ Status GridFile::Validate() const {
     }
   }
   for (const auto& bk : buckets_) {
-    total += static_cast<int64_t>(bk.entries.size());
-    for (const auto& e : bk.entries) {
-      const auto coords = CoordsOf(e.point);
+    total += bk.size();
+    for (size_t i = 0; i < bk.points.size(); i += static_cast<size_t>(k_)) {
       for (int d = 0; d < k_; ++d) {
         const auto du = static_cast<size_t>(d);
-        if (coords[du] < bk.lo[du] || coords[du] > bk.hi[du]) {
+        const int slice = scales_[du].SliceOf(bk.points[i + du]);
+        if (slice < bk.lo[du] || slice > bk.hi[du]) {
           return Status::Internal("entry outside its bucket's box");
         }
       }

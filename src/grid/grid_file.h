@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,15 +76,18 @@ class GridFile {
   int num_buckets() const { return static_cast<int>(buckets_.size()); }
   int64_t size() const { return size_; }
 
-  /// Inserts one point (arity must equal num_dims).
+  /// Inserts one point (arity must equal num_dims). The point is copied
+  /// into its bucket's contiguous storage, so a caller can reuse one buffer
+  /// for every insert through the span overload.
   Status Insert(std::vector<Value> point, RecordId rid);
+  Status Insert(std::span<const Value> point, RecordId rid);
 
   /// Record ids matching the point exactly.
   std::vector<RecordId> PointSearch(const std::vector<Value>& point) const;
 
   /// Linear index of the directory cell containing `point`.
   int64_t CellOfPoint(const std::vector<Value>& point) const {
-    return dir_.CellIndex(CoordsOf(point));
+    return CellIndexOf(point.data());
   }
 
   /// Linear cell indices overlapping the box [lo[d], hi[d]] (inclusive).
@@ -103,21 +107,28 @@ class GridFile {
   Status Validate() const;
 
  private:
+  // Points are stored flat, with no allocation per point: entry i's point is
+  // points[i * k, (i + 1) * k) and its record id rids[i].
   struct Bucket {
-    std::vector<GridEntry> entries;
+    std::vector<Value> points;
+    std::vector<RecordId> rids;
     std::vector<int> lo;  // inclusive slice box, per dimension
     std::vector<int> hi;
+
+    int size() const { return static_cast<int>(rids.size()); }
   };
 
-  std::vector<int> CoordsOf(const std::vector<Value>& point) const;
+  // Linear index of the directory cell containing the k values at `point`.
+  int64_t CellIndexOf(const Value* point) const;
   // Splits bucket b once (region split or new cut). Returns false when the
-  // bucket is degenerate (identical points) and cannot be split.
-  bool SplitBucket(int b);
+  // bucket is degenerate (identical points) and cannot be split, and an
+  // Internal error when the scale rejects the cut it was asked to add.
+  Result<bool> SplitBucket(int b);
   // Region split along dim d (box must span > 1 slice there).
   void RegionSplit(int b, int d);
   // Attempts to add a cut through bucket b along some dimension; returns the
   // chosen dimension or -1.
-  int TryAddCut(int b);
+  Result<int> TryAddCut(int b);
   // Ratio used to pick the next dimension to cut (lower = more deserving).
   double SplitDeficit(int dim) const;
 

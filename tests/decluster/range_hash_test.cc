@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 
 #include "src/decluster/hash.h"
 #include "src/decluster/range.h"
+#include "src/storage/schema.h"
 #include "src/workload/wisconsin.h"
 
 namespace declust::decluster {
@@ -27,6 +29,38 @@ TEST(RangeTest, EveryTupleAssignedExactlyOnce) {
   }
   EXPECT_EQ(total, rel.cardinality());
   EXPECT_EQ((*part)->num_nodes(), 8);
+}
+
+TEST(RangeTest, HeavyTiesMatchAnIndirectSortOfRecordIds) {
+  // Partitioning values repeat heavily (a permutation mod 7), so chunk
+  // boundaries fall inside runs of equal keys and the order of ties decides
+  // which node each tuple lands on. The decorated key-only sort must place
+  // ties exactly where an indirect sort of the record ids by value does.
+  storage::Relation rel("ties", storage::Schema({{"a"}, {"b"}}));
+  for (int64_t i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(rel.Append({(i * 1237) % 3001 % 7, i}).ok());
+  }
+  for (const int nodes : {3, 5, 8}) {
+    auto part = RangePartitioning::Create(rel, {0, 1}, nodes);
+    ASSERT_TRUE(part.ok());
+    std::vector<RecordId> order(static_cast<size_t>(rel.cardinality()));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](RecordId x, RecordId y) {
+      return rel.value(x, 0) < rel.value(y, 0);
+    });
+    const auto n = static_cast<int64_t>(order.size());
+    for (int node = 0; node < nodes; ++node) {
+      const int64_t begin = n * node / nodes;
+      const int64_t end = n * (node + 1) / nodes;
+      for (int64_t i = begin; i < end; ++i) {
+        EXPECT_EQ((*part)->NodeOf(order[static_cast<size_t>(i)]), node);
+      }
+      if (node + 1 < nodes) {
+        EXPECT_EQ((*part)->upper_bounds()[static_cast<size_t>(node)],
+                  rel.value(order[static_cast<size_t>(end - 1)], 0));
+      }
+    }
+  }
 }
 
 TEST(RangeTest, EqualCardinalityFragments) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "src/decluster/range.h"
+#include "src/storage/schema.h"
 #include "src/workload/wisconsin.h"
 
 namespace declust::engine {
@@ -36,6 +39,44 @@ struct Fixture {
     return workload::MakeWisconsin(o);
   }
 };
+
+TEST(CatalogTest, IndexTiesMatchAnIndirectSortOfRecordIds) {
+  // Both the partitioning attribute A and the clustering attribute B repeat
+  // heavily, so each store's clustered order has long runs of equal B. The
+  // position every tuple gets — the rid of both index entries — must be the
+  // one an indirect sort of the store's record ids by B gives.
+  storage::Relation rel("ties", storage::Schema({{"a"}, {"b"}}));
+  for (int64_t i = 0; i < 6000; ++i) {
+    ASSERT_TRUE(rel.Append({(i * 1237) % 6007 % 7, (i * 389) % 6011 % 5}).ok());
+  }
+  auto part = decluster::RangePartitioning::Create(rel, {0, 1}, 4);
+  ASSERT_TRUE(part.ok());
+  hw::HwParams hw;
+  auto catalog = SystemCatalog::Build(&rel, part->get(), 0, 1, hw);
+  ASSERT_TRUE(catalog.ok());
+  const Value lo = std::numeric_limits<Value>::min();
+  const Value hi = std::numeric_limits<Value>::max();
+  for (int node = 0; node < 4; ++node) {
+    std::vector<RecordId> by_b =
+        (*part)->node_records()[static_cast<size_t>(node)];
+    std::sort(by_b.begin(), by_b.end(), [&](RecordId x, RecordId y) {
+      return rel.value(x, 1) < rel.value(y, 1);
+    });
+    std::vector<storage::BTreeEntry> b_ref(by_b.size());
+    std::vector<storage::BTreeEntry> a_ref(by_b.size());
+    for (size_t pos = 0; pos < by_b.size(); ++pos) {
+      b_ref[pos] = {rel.value(by_b[pos], 1), static_cast<RecordId>(pos)};
+      a_ref[pos] = {rel.value(by_b[pos], 0), static_cast<RecordId>(pos)};
+    }
+    std::sort(a_ref.begin(), a_ref.end(),
+              [](const storage::BTreeEntry& x, const storage::BTreeEntry& y) {
+                return x.key < y.key;
+              });
+    const FragmentStore& store = (*catalog)->store(node);
+    EXPECT_EQ(store.clustered_index().RangeSearch(lo, hi), b_ref);
+    EXPECT_EQ(store.nonclustered_index().RangeSearch(lo, hi), a_ref);
+  }
+}
 
 TEST(CatalogTest, BuildsAllStores) {
   Fixture f;
