@@ -211,24 +211,18 @@ RebalanceResult HillClimbRebalance(const std::vector<int>& dims,
           deltas.emplace_back(a1, w2 - w1);
           deltas.emplace_back(a2, w1 - w2);
         };
-        // Walk the union of the two slices' weighted lines in line order;
-        // when the lists cover most lines anyway (dense weights), scanning
-        // every line is cheaper and visits the same contributing lines.
+        // Walk the union of the two slices' weighted lines in line order.
         const auto& l1 = weighted[du][static_cast<size_t>(s1)];
         const auto& l2 = weighted[du][static_cast<size_t>(s2)];
-        if (l1.size() + l2.size() >= bases[du].size()) {
-          for (int64_t base : bases[du]) add_line(base);
-        } else {
-          size_t i1 = 0, i2 = 0;
-          while (i1 < l1.size() || i2 < l2.size()) {
-            if (i2 == l2.size() || (i1 < l1.size() && l1[i1] < l2[i2])) {
-              add_line(l1[i1++]);
-            } else if (i1 == l1.size() || l2[i2] < l1[i1]) {
-              add_line(l2[i2++]);
-            } else {
-              add_line(l1[i1++]);
-              ++i2;
-            }
+        size_t i1 = 0, i2 = 0;
+        while (i1 < l1.size() || i2 < l2.size()) {
+          if (i2 == l2.size() || (i1 < l1.size() && l1[i1] < l2[i2])) {
+            add_line(l1[i1++]);
+          } else if (i1 == l1.size() || l2[i2] < l1[i1]) {
+            add_line(l2[i2++]);
+          } else {
+            add_line(l1[i1++]);
+            ++i2;
           }
         }
         if (deltas.empty()) continue;

@@ -15,9 +15,10 @@ namespace {
 
 // The strategy names sit at fixed offsets in one 256-byte-aligned block.
 // gtest prints a Param as its raw bytes, starting with the name pointer, and
-// ctest's discovered test names include that dump; pinning the pointer's low
-// byte keeps those names stable when unrelated read-only data in the binary
-// grows or shrinks. The offsets are the ones the names have always had.
+// ctest's discovered test names include that dump. The alignment pins only
+// the pointer's low byte (the offsets are the ones the names have always
+// had); the other seven bytes still follow where the linker places the
+// block, so the full discovered names remain build-dependent.
 struct alignas(256) StrategyNames {
   char lead[0x86];
   char range[6];

@@ -509,12 +509,13 @@ TEST(RebalanceTest, SparseClimbMatchesDenseReference) {
             }
           }
           for (const int max_swaps : {1, 3, 10'000}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "shape " << static_cast<int>(shape) << " dims "
-                         << dims[0] << "x" << dims[1]
-                         << (k == 3 ? "x" + std::to_string(dims[2]) : "")
-                         << " nodes " << nodes << " restrict "
-                         << restrict_to_dim << " max_swaps " << max_swaps);
+            ::testing::Message trace;
+            trace << "shape " << static_cast<int>(shape) << " dims "
+                  << dims[0];
+            for (size_t d = 1; d < dims.size(); ++d) trace << "x" << dims[d];
+            trace << " nodes " << nodes << " restrict " << restrict_to_dim
+                  << " max_swaps " << max_swaps;
+            SCOPED_TRACE(trace);
             std::vector<int> expected = initial;
             std::vector<int> actual = initial;
             const RebalanceResult want = reference::DenseHillClimbRebalance(
