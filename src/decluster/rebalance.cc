@@ -92,10 +92,10 @@ RebalanceResult HillClimbRebalance(const std::vector<int>& dims,
   }
 
   // Sparse line index over the fixed weights, built for the dimensions the
-  // climb may swap. weighted[d][s]: in line order, the bases of the lines
-  // whose cell in slice s has non-zero weight. A line where both cells of a
-  // candidate pair weigh zero contributes no load delta, so scoring a pair
-  // over the union of its two lists equals scoring it over every line.
+  // climb may swap. weighted[d][s]: the bases of the lines whose cell in
+  // slice s has non-zero weight. A line where both cells of a candidate
+  // pair weigh zero contributes no load delta, so scoring a pair over the
+  // union of its two lists equals scoring it over every line.
   // heavy_lines[d]: the bases of the lines holding a positive-weight cell —
   // the only lines that can yield targeted candidate pairs.
   constexpr int kMaxCandidates = 48;
@@ -211,18 +211,16 @@ RebalanceResult HillClimbRebalance(const std::vector<int>& dims,
           deltas.emplace_back(a1, w2 - w1);
           deltas.emplace_back(a2, w1 - w2);
         };
-        // Walk the union of the two slices' weighted lines in line order.
-        const auto& l1 = weighted[du][static_cast<size_t>(s1)];
-        const auto& l2 = weighted[du][static_cast<size_t>(s2)];
-        size_t i1 = 0, i2 = 0;
-        while (i1 < l1.size() || i2 < l2.size()) {
-          if (i2 == l2.size() || (i1 < l1.size() && l1[i1] < l2[i2])) {
-            add_line(l1[i1++]);
-          } else if (i1 == l1.size() || l2[i2] < l1[i1]) {
-            add_line(l2[i2++]);
-          } else {
-            add_line(l1[i1++]);
-            ++i2;
+        // Each line of the union of the two slices' weighted lists, once:
+        // s1's lines, then s2's lines whose s1 cell is empty (the others
+        // are already in s1's list). Deltas are sorted before they are
+        // summed, so the visiting order does not matter.
+        for (int64_t base : weighted[du][static_cast<size_t>(s1)]) {
+          add_line(base);
+        }
+        for (int64_t base : weighted[du][static_cast<size_t>(s2)]) {
+          if (cell_weights[static_cast<size_t>(base + off1)] == 0) {
+            add_line(base);
           }
         }
         if (deltas.empty()) continue;
