@@ -18,8 +18,10 @@ namespace {
 // failed Result).
 Status DescentPages(const storage::Extent& extent, int64_t height,
                     int64_t leaf_index, const storage::DiskLayout& layout,
-                    std::vector<hw::PageAddress>* out) {
+                    std::pmr::vector<hw::PageAddress>* out) {
   if (extent.num_pages == 0) return Status::OK();
+  // Plans size their lists exactly: a pooled plan holds only its own pages.
+  out->reserve(out->size() + static_cast<size_t>(height));
   for (int64_t level = 0; level < height; ++level) {
     int64_t page;
     if (level == 0) {
@@ -188,11 +190,13 @@ Status FragmentStore::NonClusteredAccessInto(Value lo, Value hi,
   const int64_t avg_per_leaf =
       std::max<int64_t>(1, nonclustered_a_->size() /
                                std::max<int64_t>(1, nonclustered_a_->leaf_count()));
+  const int64_t extra_leaves = nonclustered_a_->LeafPagesTouched(lo, hi) - 1;
+  out->index_pages.reserve(static_cast<size_t>(
+      nonclustered_a_->height() + std::max<int64_t>(0, extra_leaves)));
   DECLUST_RETURN_NOT_OK(
       DescentPages(index_a_extent_, nonclustered_a_->height(),
                    (entries.empty() ? 0 : entries.front().key) / avg_per_leaf,
                    layout, &out->index_pages));
-  const int64_t extra_leaves = nonclustered_a_->LeafPagesTouched(lo, hi) - 1;
   for (int64_t l = 0; l < extra_leaves; ++l) {
     DECLUST_ASSIGN_OR_RETURN(
         auto addr,
@@ -211,6 +215,7 @@ Status FragmentStore::NonClusteredAccessInto(Value lo, Value hi,
   }
   std::sort(pages.begin(), pages.end());
   pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+  out->data_pages.reserve(pages.size());
   for (int64_t p : pages) {
     DECLUST_ASSIGN_OR_RETURN(auto addr, layout.Resolve(data_extent_, p));
     out->data_pages.push_back(addr);
@@ -441,6 +446,8 @@ Status SystemCatalog::PlanAuxAccessInto(int node, const Predicate& q,
   const auto cost = berd_->AuxCost(node, q.lo, q.hi);
   const auto& layout = *layout_refs_[static_cast<size_t>(OwnerOf(node))];
   const auto& extent = aux_extents_[static_cast<size_t>(node)];
+  out->index_pages.reserve(static_cast<size_t>(
+      cost.index_pages + std::max<int64_t>(0, cost.leaf_pages - 1)));
   DECLUST_RETURN_NOT_OK(
       DescentPages(extent, cost.index_pages, 0, layout, &out->index_pages));
   for (int64_t l = 1; l < cost.leaf_pages; ++l) {
@@ -486,6 +493,8 @@ Status SystemCatalog::PlanBackupAuxAccessInto(int failed_node,
   const auto cost = berd_->AuxCost(failed_node, q.lo, q.hi);
   const auto& layout = *layout_refs_[static_cast<size_t>(backup)];
   const auto& extent = aux_backup_extents_[static_cast<size_t>(failed_node)];
+  out->index_pages.reserve(static_cast<size_t>(
+      cost.index_pages + std::max<int64_t>(0, cost.leaf_pages - 1)));
   DECLUST_RETURN_NOT_OK(
       DescentPages(extent, cost.index_pages, 0, layout, &out->index_pages));
   for (int64_t l = 1; l < cost.leaf_pages; ++l) {

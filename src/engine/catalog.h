@@ -22,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <memory_resource>
 #include <span>
 #include <vector>
 
@@ -42,17 +43,23 @@ using storage::Value;
 
 /// \brief Pages one operator must read at one node, in read order.
 struct AccessPlan {
+  AccessPlan() = default;
+  /// A plan whose page lists draw their storage from `pages` (the engine's
+  /// pooled plans share one pool, so an idle plan holds no pages).
+  explicit AccessPlan(std::pmr::memory_resource* pages)
+      : index_pages(pages), data_pages(pages), data_runs(pages) {}
+
   /// Physical index pages (random reads: B-tree descent, then leaves).
-  std::vector<hw::PageAddress> index_pages;
+  std::pmr::vector<hw::PageAddress> index_pages;
   /// Physical data pages read individually (non-clustered access: one
   /// random page per qualifying tuple's page).
-  std::vector<hw::PageAddress> data_pages;
+  std::pmr::vector<hw::PageAddress> data_pages;
   /// Contiguous data-page ranges (clustered/scan access). One entry covers
   /// an arbitrarily long sequential read, so a full-table scan's plan is
   /// O(extents), not O(pages). The read path expands runs arithmetically
   /// in the same order the per-page list used, so simulated timings are
   /// unchanged.
-  std::vector<hw::PageRun> data_runs;
+  std::pmr::vector<hw::PageRun> data_runs;
   /// Qualifying tuples found at this node.
   int64_t tuples = 0;
 

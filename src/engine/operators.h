@@ -54,32 +54,37 @@ struct FaultContext {
   FaultStats* stats = nullptr;
 };
 
-/// \brief Reads one page through the pool (if any), the disk, the DMA
-/// interrupt, and the per-page CPU processing. Transient IoErrors are
-/// retried with capped exponential backoff per `fc` (when given); a retry
-/// that would land past the deadline returns DeadlineExceeded.
-///
-/// The page only becomes pool-resident after the disk read succeeded, so a
-/// failed read can never produce a phantom hit on retry.
-///
-/// `qo` (optional) attributes the page's hardware time to its query and
-/// opens a "page" span around the access.
-sim::Task<Status> AccessPage(hw::Node* node, hw::PageAddress page,
-                             const OperatorCosts& costs, BufferPool* pool,
-                             FaultContext* fc = nullptr,
-                             obs::QueryObs* qo = nullptr);
+/// \brief What a select does with the tuples its pages qualify.
+enum class SelectKind {
+  /// Data site: per-tuple CPU, then the qualifying tuples ship to the result
+  /// node in tuple packets; the whole operator runs under a "select" span.
+  kData,
+  /// BERD auxiliary lookup: a quarter of the per-tuple CPU extracts the
+  /// (tuple id, processor) pairs and nothing ships; the site replies itself.
+  kAuxLookup,
+};
 
-/// \brief Executes a select at `node`: reads the plan's index pages and data
-/// pages through the disk (DMA + page CPU per page), spends per-tuple CPU,
-/// and ships the qualifying tuples to `result_node` in tuple packets.
+/// \brief Executes a select at `node`: activation CPU, then every page of
+/// the plan in read order (index pages, data pages, data runs), then the
+/// tuple work `kind` calls for.
 ///
-/// `pool` (optional) is the node's buffer pool: hits skip the disk read and
-/// DMA transfer. Completes when the last result packet has left this node's
-/// interface. Returns the first unrecovered hardware error, or OK.
+/// Each page goes through the pool (if any), the disk, the DMA interrupt
+/// and the per-page CPU processing. A pool hit skips the disk read and the
+/// DMA transfer; a page only becomes pool-resident after its disk read
+/// succeeded, so a failed read can never produce a phantom hit on retry.
+/// Transient IoErrors are retried with capped exponential backoff per `fc`
+/// (when given); a retry that would land past the deadline returns
+/// DeadlineExceeded.
+///
+/// For kData, completes when the last result packet has left this node's
+/// interface. Returns the first unrecovered hardware error, or OK. `qo`
+/// (optional) attributes the hardware time to its query and opens a "page"
+/// span around each page access.
 sim::Task<Status> RunSelect(hw::Node* node, const AccessPlan& plan,
                             int result_node, const OperatorCosts& costs,
                             BufferPool* pool = nullptr,
                             FaultContext* fc = nullptr,
-                            obs::QueryObs* qo = nullptr);
+                            obs::QueryObs* qo = nullptr,
+                            SelectKind kind = SelectKind::kData);
 
 }  // namespace declust::engine

@@ -10,6 +10,27 @@
 
 namespace declust::engine {
 
+namespace {
+
+// A site's spans nest one level under its query's span, and the open one is
+// kept as the site handle's current span rather than in the site's frame.
+// Opens `name` and makes it current (a no-op without a tracer).
+void PushSpan(obs::QueryObs* sq, const char* name, obs::Component component,
+              int node, double now) {
+  const uint64_t id = obs::BeginSpan(sq, name, component, node, now);
+  if (id != 0) sq->span = id;
+}
+
+// Closes the span PushSpan opened, back to the query's span.
+void PopSpan(obs::QueryObs* sq, const obs::QueryObs* query, double now) {
+  if (sq != nullptr && sq->span != query->span) {
+    obs::EndSpan(sq, sq->span, now);
+    sq->span = query->span;
+  }
+}
+
+}  // namespace
+
 System::System(sim::Simulation* sim, SystemConfig config,
                const storage::Relation* relation,
                const decluster::Partitioning* partitioning,
@@ -162,22 +183,17 @@ AccessPlan* System::AcquirePlan() {
     plan_free_.pop_back();
     return p;
   }
-  plan_storage_.push_back(std::make_unique<AccessPlan>());
-  AccessPlan* p = plan_storage_.back().get();
-  // Scans and clustered ranges emit O(1) page runs, so a pooled plan no
-  // longer needs a full-fragment page list up front (which made every plan
-  // O(pages) — the setup-memory bottleneck at 10M+ tuples). Start with a
-  // modest reserve; non-clustered page lists warm to the mix's high-water
-  // mark during warmup and ReleasePlan keeps the capacity, so the steady
-  // state stays heap-silent (tests/sim/alloc_count_test.cc).
-  p->data_pages.reserve(64);
-  p->index_pages.reserve(64);
-  p->data_runs.reserve(8);
-  return p;
+  plan_storage_.push_back(std::make_unique<AccessPlan>(&page_lists_));
+  return plan_storage_.back().get();
 }
 
 void System::ReleasePlan(AccessPlan* plan) {
-  plan->clear();
+  // Every in-flight site holds a plan, so a plan holds only the pages of
+  // its own site: release hands its lists' blocks back to the pool, where
+  // the next site's plan of any shape draws them again. The pool keeps
+  // every block, so the steady state stays heap-silent
+  // (tests/sim/alloc_count_test.cc).
+  *plan = AccessPlan(&page_lists_);
   plan_free_.push_back(plan);
 }
 
@@ -342,9 +358,16 @@ sim::Task<Status> System::ExecuteQuery(workload::QueryInstance q,
           ? config_.resize->CoordinatorNode(next_coordinator_++)
           : next_coordinator_++ % config_.hw.num_processors;
   QueryContext& ctx = scratch->ctx;
+  ctx.rel = rel;
+  ctx.coord = coord;
+  ctx.pred = pred;
+  ctx.sequential_scan = scan;
+  ctx.qo = qo;
+  ctx.fault = FaultContext{&config_.failover,
+                           sim_->now() + config_.failover.query_deadline_ms,
+                           &metrics_.faults()};
   ctx.status = Status::OK();
   ctx.serving.clear();
-  ctx.deadline_ms = sim_->now() + config_.failover.query_deadline_ms;
   DECLUST_CO_RETURN_NOT_OK(
       co_await DeliverMessage(sim_, &machine_->network(), host_node(), coord,
                               config_.hw.control_message_bytes, qo));
@@ -372,7 +395,8 @@ sim::Task<Status> System::ExecuteQuery(workload::QueryInstance q,
   if (!sites.aux_nodes.empty()) {
     sim::JoinCounter aux_join(sim_, static_cast<int>(sites.aux_nodes.size()));
     for (int node : sites.aux_nodes) {
-      sim_->Spawn(RunAuxSite(rel, coord, node, pred, &ctx, &aux_join, qo));
+      sim_->Spawn(
+          RunSite(&ctx, &aux_join, SiteKind::kAux, node, /*site_idx=*/0));
     }
     co_await aux_join.Wait();
     DECLUST_CO_RETURN_NOT_OK(ctx.status);
@@ -384,8 +408,8 @@ sim::Task<Status> System::ExecuteQuery(workload::QueryInstance q,
     ctx.serving.assign(sites.data_nodes.size(), -1);
     sim::JoinCounter join(sim_, static_cast<int>(sites.data_nodes.size()));
     for (size_t i = 0; i < sites.data_nodes.size(); ++i) {
-      sim_->Spawn(RunDataSite(rel, coord, i, sites.data_nodes[i], pred, scan,
-                              &ctx, &join, qo));
+      sim_->Spawn(RunSite(&ctx, &join, SiteKind::kData, sites.data_nodes[i],
+                          static_cast<int>(i)));
     }
     co_await join.Wait();
     DECLUST_CO_RETURN_NOT_OK(ctx.status);
@@ -399,8 +423,7 @@ sim::Task<Status> System::ExecuteQuery(workload::QueryInstance q,
       const double commit_begin = sim_->now();
       obs::ArmHw(qo);
       const Status commit_st = co_await machine_->network().Send(
-          coord, target, config_.hw.control_message_bytes,
-          [](const Status&) {});
+          coord, target, config_.hw.control_message_bytes);
       if (qo != nullptr && qo->probe != nullptr) {
         qo->costs.network_ms += sim_->now() - commit_begin;
       }
@@ -415,318 +438,161 @@ sim::Task<Status> System::ExecuteQuery(workload::QueryInstance q,
   co_return Status::OK();
 }
 
-sim::Task<> System::RunDataSite(int rel, int coord, size_t site_idx,
-                                int slice, Predicate pred,
-                                bool sequential_scan, QueryContext* ctx,
-                                sim::JoinCounter* join, obs::QueryObs* qo) {
+sim::Task<> System::RunSite(QueryContext* ctx, sim::JoinCounter* join,
+                            SiteKind kind, int slice, int site_idx) {
   // Give the site its own handle: sibling sites interleave, so they must
   // not share the parent's span cursor or probe-arming window. Costs are
   // merged before the join fires (while the parent still awaits it).
-  obs::QueryObs site_obs;
   obs::QueryObs* sq = nullptr;
-  if (qo != nullptr && qo->probe != nullptr) {
-    site_obs = obs::QueryObs{qo->probe, qo->query, qo->span, {}};
-    sq = &site_obs;
+  if (ctx->qo != nullptr && ctx->qo->probe != nullptr) {
+    sq = site_obs_.New(
+        obs::QueryObs{ctx->qo->probe, ctx->qo->query, ctx->qo->span, {}});
   }
   if (config_.audit != nullptr) config_.audit->OnSiteDispatched(slice);
-  const Status st =
-      co_await DataSiteSelect(rel, coord, site_idx, slice, pred,
-                              sequential_scan, ctx, sq);
+
+  // Scheduler-side work to activate this site.
+  PushSpan(sq, "site.activate", obs::Component::kScheduler, ctx->coord,
+           sim_->now());
+  obs::ArmHw(sq);
+  Status st = co_await machine_->node(ctx->coord).cpu().Run(
+      config_.costs.per_site_sched_instructions);
+  PopSpan(sq, ctx->qo, sim_->now());
+
+  SiteRead read = SiteRead::kPrimary;
+  int exec = -1;
+  if (st.ok()) {
+    // Owner resolved at dispatch time: under an elastic plan the slice may
+    // live on any member (OwnerOf is the identity otherwise).
+    if (config_.resize != nullptr) metrics_.RecordSliceAccess(slice);
+    exec = bindings_[static_cast<size_t>(ctx->rel)].catalog->OwnerOf(slice);
+    if (!SiteUp(exec)) {
+      // Built only here: the message would heap-allocate on every select.
+      st = Status::Unavailable(kind == SiteKind::kAux ? "primary aux site down"
+                                                      : "primary site down");
+      exec = NextSiteNode(*ctx, kind, slice, exec, &read, &st);
+    }
+  }
+
+  while (exec >= 0) {
+    PushSpan(sq, kind == SiteKind::kAux ? "site.aux" : "site",
+             obs::Component::kQuery, exec, sim_->now());
+    AccessPlan* plan = AcquirePlan();
+    if (config_.resize != nullptr) config_.resize->OnSiteExecBegin(exec);
+    // The plan is built before the first await: a migration epoch flip
+    // cannot land between the owner resolution and here, so the page
+    // addresses always match the copy `exec` actually hosts (the old extents
+    // stay valid through the flip — they are abandoned, never invalidated —
+    // so reads planned pre-flip drain safely).
+    st = BuildSitePlan(*ctx, kind, slice, read == SiteRead::kBackup, plan);
+    if (st.ok()) {
+      st = co_await DeliverMessage(sim_, &machine_->network(), ctx->coord,
+                                   exec, config_.hw.control_message_bytes, sq);
+    }
+    if (st.ok()) {
+      // The operator runs with the node's resources; results flow back to
+      // the query's scheduler.
+      st = co_await RunSelect(
+          &machine_->node(exec), *plan, ctx->coord, config_.costs,
+          kind == SiteKind::kAux || pools_.empty()
+              ? nullptr
+              : pools_[static_cast<size_t>(exec)].get(),
+          &ctx->fault, sq,
+          kind == SiteKind::kAux ? SelectKind::kAuxLookup : SelectKind::kData);
+    }
+    if (st.ok()) {
+      // Done message back to the scheduler. An aux site's reply carries the
+      // processor list (8 bytes per qualifying entry) and is not charged to
+      // the query.
+      st = co_await DeliverMessage(
+          sim_, &machine_->network(), exec, ctx->coord,
+          kind == SiteKind::kAux
+              ? static_cast<int>(std::min<int64_t>(
+                    config_.hw.max_packet_bytes,
+                    config_.hw.control_message_bytes + 8 * plan->tuples))
+              : config_.hw.control_message_bytes,
+          kind == SiteKind::kAux ? nullptr : sq);
+    }
+    if (config_.resize != nullptr) config_.resize->OnSiteExecEnd(exec);
+    ReleasePlan(plan);
+    PopSpan(sq, ctx->qo, sim_->now());
+
+    if (st.ok()) {
+      ReportServe(*ctx, kind, slice, site_idx, exec, read);
+      break;
+    }
+    if (st.IsDeadlineExceeded()) break;
+    exec = NextSiteNode(*ctx, kind, slice, exec, &read, &st);
+  }
+
   if (config_.audit != nullptr) config_.audit->OnSiteFinished(slice);
-  if (sq != nullptr) qo->costs += site_obs.costs;
+  if (sq != nullptr) {
+    ctx->qo->costs += sq->costs;
+    site_obs_.Delete(sq);
+  }
   if (!st.ok()) ctx->Merge(st);
   join->CountDown();
 }
 
-sim::Task<Status> System::DataSiteSelect(int rel, int coord, size_t site_idx,
-                                         int slice, Predicate pred,
-                                         bool sequential_scan,
-                                         QueryContext* ctx,
-                                         obs::QueryObs* qo) {
-  const SystemCatalog& cat = *bindings_[static_cast<size_t>(rel)].catalog;
-  // Scheduler-side work to activate this site.
-  const uint64_t activate_span = obs::BeginSpan(
-      qo, "site.activate", obs::Component::kScheduler, coord, sim_->now());
-  obs::ArmHw(qo, activate_span);
-  const Status activate_st = co_await machine_->node(coord).cpu().Run(
-      config_.costs.per_site_sched_instructions);
-  obs::EndSpan(qo, activate_span, sim_->now());
-  DECLUST_CO_RETURN_NOT_OK(activate_st);
-
-  // Owner resolved at dispatch time: under an elastic plan the slice may
-  // live on any member (OwnerOf is the identity otherwise).
-  if (config_.resize != nullptr) metrics_.RecordSliceAccess(slice);
-  const int node = cat.OwnerOf(slice);
-
-  // Built lazily: the message string would heap-allocate on every select,
-  // and the happy path never reads it.
-  Status primary;
-  if (SiteUp(node)) {
-    primary = co_await RunSiteOnce(rel, coord, node, slice,
-                                   /*backup_read=*/false, pred,
-                                   sequential_scan, ctx, qo);
-    if (primary.ok()) {
-      if (config_.audit != nullptr) {
-        config_.audit->OnFragmentServe(
-            slice, node, /*primary_read=*/true,
-            config_.recovery == nullptr ||
-                config_.recovery->ServingPrimary(node),
-            /*first_serve=*/ctx->serving[site_idx] < 0);
-      }
-      ctx->serving[site_idx] = node;
-      co_return Status::OK();
-    }
-    if (primary.IsDeadlineExceeded()) co_return primary;
-  } else {
-    primary = Status::Unavailable("primary site down");
+Status System::BuildSitePlan(const QueryContext& ctx, SiteKind kind,
+                             int slice, bool backup_read, AccessPlan* plan) {
+  const SystemCatalog& cat = *bindings_[static_cast<size_t>(ctx.rel)].catalog;
+  if (kind == SiteKind::kAux) {
+    return !backup_read ? cat.PlanAuxAccessInto(slice, ctx.pred, plan)
+                        : cat.PlanBackupAuxAccessInto(slice, ctx.pred, plan);
   }
+  return !backup_read ? cat.PlanAccessInto(slice, ctx.pred,
+                                           ctx.sequential_scan, plan)
+                      : cat.PlanBackupAccessInto(slice, ctx.pred,
+                                                 ctx.sequential_scan, plan);
+}
 
+void System::ReportServe(QueryContext& ctx, SiteKind kind, int slice,
+                         int site_idx, int exec, SiteRead read) {
+  const bool aux = kind == SiteKind::kAux;
+  // An aux site reports serves of the slice's primary copy only.
+  if (config_.audit != nullptr && (!aux || read != SiteRead::kBackup)) {
+    config_.audit->OnFragmentServe(
+        slice, exec, /*primary_read=*/read != SiteRead::kBackup,
+        /*primary_serving=*/read != SiteRead::kPrimary ||
+            config_.recovery == nullptr ||
+            config_.recovery->ServingPrimary(exec),
+        /*first_serve=*/aux || ctx.serving[static_cast<size_t>(site_idx)] < 0);
+  }
+  if (!aux) ctx.serving[static_cast<size_t>(site_idx)] = exec;
+}
+
+int System::NextSiteNode(const QueryContext& ctx, SiteKind kind, int slice,
+                         int failed, SiteRead* read, Status* st) {
+  const SystemCatalog& cat = *bindings_[static_cast<size_t>(ctx.rel)].catalog;
+  const sim::SimTime deadline_ms = ctx.fault.deadline_ms;
   // Migration-aware retry: a migration epoch flip may have moved the slice
   // while the dispatch was in flight (or its old owner was drained away).
   // One redirect to the freshly resolved owner, still deadline-bounded.
-  if (config_.resize != nullptr && sim_->now() < ctx->deadline_ms) {
+  if (*read == SiteRead::kPrimary && config_.resize != nullptr &&
+      sim_->now() < deadline_ms) {
     const int owner_now = cat.OwnerOf(slice);
-    if (owner_now != node && SiteUp(owner_now)) {
+    if (owner_now != failed && SiteUp(owner_now)) {
       config_.resize->OnMigrationRedirect();
-      const Status st =
-          co_await RunSiteOnce(rel, coord, owner_now, slice,
-                               /*backup_read=*/false, pred, sequential_scan,
-                               ctx, qo);
-      if (st.ok()) {
-        if (config_.audit != nullptr) {
-          config_.audit->OnFragmentServe(
-              slice, owner_now, /*primary_read=*/true,
-              /*primary_serving=*/true,
-              /*first_serve=*/ctx->serving[site_idx] < 0);
-        }
-        ctx->serving[site_idx] = owner_now;
-        co_return Status::OK();
-      }
-      if (st.IsDeadlineExceeded()) co_return st;
-      primary = st;
+      *read = SiteRead::kRedirect;
+      return owner_now;
     }
   }
 
   // Primary lost: chained declustering places the backup on the next node.
-  if (!cat.has_backups()) co_return primary;
-  if (sim_->now() >= ctx->deadline_ms) {
+  if (*read == SiteRead::kBackup || !cat.has_backups()) return -1;
+  if (sim_->now() >= deadline_ms) {
     ++metrics_.faults().timeouts;
-    co_return Status::DeadlineExceeded("deadline passed before failover");
+    *st = Status::DeadlineExceeded(kind == SiteKind::kAux
+                                       ? "deadline passed before aux failover"
+                                       : "deadline passed before failover");
+    return -1;
   }
   const int backup = cat.BackupNodeOf(slice);
-  if (!SiteUp(backup)) {
-    co_return primary;  // both replicas down: the fragment is unreachable
-  }
+  // Both replicas down: the fragment is unreachable.
+  if (!SiteUp(backup)) return -1;
   ++metrics_.faults().failovers;
-  const Status st = co_await RunSiteOnce(rel, coord, backup, slice,
-                                         /*backup_read=*/true, pred,
-                                         sequential_scan, ctx, qo);
-  if (st.ok()) {
-    if (config_.audit != nullptr) {
-      config_.audit->OnFragmentServe(slice, backup, /*primary_read=*/false,
-                                     /*primary_serving=*/true,
-                                     /*first_serve=*/ctx->serving[site_idx] <
-                                         0);
-    }
-    ctx->serving[site_idx] = backup;
-  }
-  co_return st;
-}
-
-sim::Task<Status> System::RunSiteOnce(int rel, int coord, int exec_node,
-                                      int slice, bool backup_read,
-                                      Predicate pred, bool sequential_scan,
-                                      QueryContext* ctx, obs::QueryObs* qo) {
-  const SystemCatalog& cat = *bindings_[static_cast<size_t>(rel)].catalog;
-  const uint64_t site_span = obs::BeginSpan(
-      qo, "site", obs::Component::kQuery, exec_node, sim_->now());
-  const uint64_t saved_span = qo != nullptr ? qo->span : 0;
-  if (site_span != 0) qo->span = site_span;
-  // Every exit path below runs finish() exactly once, so the pooled plan
-  // is always returned (and the drain counter always re-balanced).
-  AccessPlan* plan = AcquirePlan();
-  if (config_.resize != nullptr) config_.resize->OnSiteExecBegin(exec_node);
-  const auto finish = [&] {
-    if (config_.resize != nullptr) config_.resize->OnSiteExecEnd(exec_node);
-    ReleasePlan(plan);
-    if (qo != nullptr) qo->span = saved_span;
-    obs::EndSpan(qo, site_span, sim_->now());
-  };
-
-  // The plan is built before the first await: a migration epoch flip
-  // cannot land between the caller's owner resolution and here, so the
-  // page addresses always match the copy exec_node actually hosts (the
-  // old extents stay valid through the flip — they are abandoned, never
-  // invalidated — so reads planned pre-flip drain safely).
-  const Status plan_built =
-      !backup_read ? cat.PlanAccessInto(slice, pred, sequential_scan, plan)
-                   : cat.PlanBackupAccessInto(slice, pred, sequential_scan,
-                                              plan);
-  if (!plan_built.ok()) {
-    finish();
-    co_return plan_built;
-  }
-
-  DECLUST_CO_RETURN_NOT_OK_CLEANUP(
-      co_await DeliverMessage(sim_, &machine_->network(), coord, exec_node,
-                              config_.hw.control_message_bytes, qo),
-      finish());
-
-  // The operator runs with the node's resources; results flow back to the
-  // query's scheduler.
-  BufferPool* pool =
-      pools_.empty() ? nullptr : pools_[static_cast<size_t>(exec_node)].get();
-  FaultContext fc{&config_.failover, ctx->deadline_ms, &metrics_.faults()};
-  DECLUST_CO_RETURN_NOT_OK_CLEANUP(
-      co_await RunSelect(&machine_->node(exec_node), *plan, coord,
-                         config_.costs, pool, &fc, qo),
-      finish());
-
-  // Done message back to the scheduler.
-  DECLUST_CO_RETURN_NOT_OK_CLEANUP(
-      co_await DeliverMessage(sim_, &machine_->network(), exec_node, coord,
-                              config_.hw.control_message_bytes, qo),
-      finish());
-  finish();
-  co_return Status::OK();
-}
-
-sim::Task<> System::RunAuxSite(int rel, int coord, int slice, Predicate pred,
-                               QueryContext* ctx, sim::JoinCounter* join,
-                               obs::QueryObs* qo) {
-  obs::QueryObs site_obs;
-  obs::QueryObs* sq = nullptr;
-  if (qo != nullptr && qo->probe != nullptr) {
-    site_obs = obs::QueryObs{qo->probe, qo->query, qo->span, {}};
-    sq = &site_obs;
-  }
-  if (config_.audit != nullptr) config_.audit->OnSiteDispatched(slice);
-  const Status st = co_await AuxSiteLookup(rel, coord, slice, pred, ctx, sq);
-  if (config_.audit != nullptr) config_.audit->OnSiteFinished(slice);
-  if (sq != nullptr) qo->costs += site_obs.costs;
-  if (!st.ok()) ctx->Merge(st);
-  join->CountDown();
-}
-
-sim::Task<Status> System::AuxSiteLookup(int rel, int coord, int slice,
-                                        Predicate pred, QueryContext* ctx,
-                                        obs::QueryObs* qo) {
-  const SystemCatalog& cat = *bindings_[static_cast<size_t>(rel)].catalog;
-  const uint64_t activate_span = obs::BeginSpan(
-      qo, "site.activate", obs::Component::kScheduler, coord, sim_->now());
-  obs::ArmHw(qo, activate_span);
-  const Status activate_st = co_await machine_->node(coord).cpu().Run(
-      config_.costs.per_site_sched_instructions);
-  obs::EndSpan(qo, activate_span, sim_->now());
-  DECLUST_CO_RETURN_NOT_OK(activate_st);
-
-  if (config_.resize != nullptr) metrics_.RecordSliceAccess(slice);
-  const int node = cat.OwnerOf(slice);
-  Status primary = Status::Unavailable("primary aux site down");
-  if (SiteUp(node)) {
-    primary = co_await AuxSiteOnce(rel, coord, node, slice,
-                                   /*backup_read=*/false, pred, ctx, qo);
-    if (primary.ok() && config_.audit != nullptr) {
-      config_.audit->OnFragmentServe(
-          slice, node, /*primary_read=*/true,
-          config_.recovery == nullptr ||
-              config_.recovery->ServingPrimary(node),
-          /*first_serve=*/true);
-    }
-    if (primary.ok() || primary.IsDeadlineExceeded()) co_return primary;
-  }
-  // Migration-aware redirect, as in DataSiteSelect.
-  if (config_.resize != nullptr && sim_->now() < ctx->deadline_ms) {
-    const int owner_now = cat.OwnerOf(slice);
-    if (owner_now != node && SiteUp(owner_now)) {
-      config_.resize->OnMigrationRedirect();
-      const Status st = co_await AuxSiteOnce(rel, coord, owner_now, slice,
-                                             /*backup_read=*/false, pred,
-                                             ctx, qo);
-      if (st.ok() && config_.audit != nullptr) {
-        config_.audit->OnFragmentServe(slice, owner_now,
-                                       /*primary_read=*/true,
-                                       /*primary_serving=*/true,
-                                       /*first_serve=*/true);
-      }
-      if (st.ok() || st.IsDeadlineExceeded()) co_return st;
-      primary = st;
-    }
-  }
-  if (!cat.has_backups()) co_return primary;
-  if (sim_->now() >= ctx->deadline_ms) {
-    ++metrics_.faults().timeouts;
-    co_return Status::DeadlineExceeded("deadline passed before aux failover");
-  }
-  const int backup = cat.BackupNodeOf(slice);
-  if (!SiteUp(backup)) co_return primary;
-  ++metrics_.faults().failovers;
-  co_return co_await AuxSiteOnce(rel, coord, backup, slice,
-                                 /*backup_read=*/true, pred, ctx, qo);
-}
-
-sim::Task<Status> System::AuxSiteOnce(int rel, int coord, int exec_node,
-                                      int slice, bool backup_read,
-                                      Predicate pred, QueryContext* ctx,
-                                      obs::QueryObs* qo) {
-  const SystemCatalog& cat = *bindings_[static_cast<size_t>(rel)].catalog;
-  const uint64_t site_span = obs::BeginSpan(
-      qo, "site.aux", obs::Component::kQuery, exec_node, sim_->now());
-  const uint64_t saved_span = qo != nullptr ? qo->span : 0;
-  if (site_span != 0) qo->span = site_span;
-  AccessPlan* plan = AcquirePlan();
-  if (config_.resize != nullptr) config_.resize->OnSiteExecBegin(exec_node);
-  const auto finish = [&] {
-    if (config_.resize != nullptr) config_.resize->OnSiteExecEnd(exec_node);
-    ReleasePlan(plan);
-    if (qo != nullptr) qo->span = saved_span;
-    obs::EndSpan(qo, site_span, sim_->now());
-  };
-
-  // Planned before the first await for the same flip-race reason as
-  // RunSiteOnce.
-  const Status plan_built = !backup_read
-                                ? cat.PlanAuxAccessInto(slice, pred, plan)
-                                : cat.PlanBackupAuxAccessInto(slice, pred,
-                                                              plan);
-  if (!plan_built.ok()) {
-    finish();
-    co_return plan_built;
-  }
-
-  DECLUST_CO_RETURN_NOT_OK_CLEANUP(
-      co_await DeliverMessage(sim_, &machine_->network(), coord, exec_node,
-                              config_.hw.control_message_bytes, qo),
-      finish());
-
-  hw::Node& n = machine_->node(exec_node);
-  obs::ArmHw(qo);
-  DECLUST_CO_RETURN_NOT_OK_CLEANUP(
-      co_await n.cpu().Run(config_.costs.startup_instructions), finish());
-  FaultContext fc{&config_.failover, ctx->deadline_ms, &metrics_.faults()};
-  for (const auto& page : plan->index_pages) {
-    DECLUST_CO_RETURN_NOT_OK_CLEANUP(
-        co_await AccessPage(&n, page, config_.costs, nullptr, &fc, qo),
-        finish());
-  }
-  if (plan->tuples > 0) {
-    // Extract (tuple id, processor) pairs for the qualifying entries.
-    obs::ArmHw(qo);
-    DECLUST_CO_RETURN_NOT_OK_CLEANUP(
-        co_await n.cpu().Run(
-            plan->tuples * config_.costs.per_tuple_instructions / 4),
-        finish());
-  }
-  // Reply with the processor list (8 bytes per qualifying entry).
-  const int bytes = static_cast<int>(
-      std::min<int64_t>(config_.hw.max_packet_bytes,
-                        config_.hw.control_message_bytes + 8 * plan->tuples));
-  DECLUST_CO_RETURN_NOT_OK_CLEANUP(
-      co_await DeliverMessage(sim_, &machine_->network(), exec_node, coord,
-                              bytes),
-      finish());
-  finish();
-  co_return Status::OK();
+  *read = SiteRead::kBackup;
+  return backup;
 }
 
 }  // namespace declust::engine

@@ -21,11 +21,12 @@
 // zero-cost failure cannot spin the closed loop.
 #pragma once
 
-#include <limits>
 #include <memory>
+#include <memory_resource>
 #include <vector>
 
 #include "src/audit/audit.h"
+#include "src/common/arena.h"
 #include "src/common/random.h"
 #include "src/engine/catalog.h"
 #include "src/engine/metrics.h"
@@ -156,9 +157,16 @@ class System {
   int host_node() const { return config_.hw.num_processors; }
 
  private:
-  /// Per-query failure state shared by the scheduler and its sites.
+  /// Per-query state shared by the scheduler and its sites: what every
+  /// site of the query reads, and the failure state they report into. The
+  /// sites read it through one pointer, which keeps their frames small.
   struct QueryContext {
-    sim::SimTime deadline_ms = std::numeric_limits<double>::infinity();
+    int rel = 0;    // relation binding (0 = base relation)
+    int coord = 0;  // node running the query's scheduler
+    Predicate pred;
+    bool sequential_scan = false;
+    obs::QueryObs* qo = nullptr;  // the query's handle (nullable)
+    FaultContext fault;        // policy, deadline and counters for reads
     Status status;             // first site failure, if any
     std::vector<int> serving;  // node that actually served data site i
     void Merge(const Status& st) {
@@ -177,7 +185,7 @@ class System {
 
   /// Pooled AccessPlan storage: sites of concurrent queries interleave, so
   /// each in-flight site execution borrows one plan object and returns it
-  /// when done. Released plans keep their vectors' capacity.
+  /// when done. A released plan returns its page lists to page_lists_.
   AccessPlan* AcquirePlan();
   void ReleasePlan(AccessPlan* plan);
 
@@ -207,41 +215,41 @@ class System {
   sim::Task<Status> ExecuteQuery(workload::QueryInstance q,
                                  QueryScratch* scratch, obs::QueryObs* qo);
 
-  /// The spawned site coroutines get their own QueryObs (sharing the query
-  /// id and parent span) whose costs are merged into `qo` before the join
-  /// fires; sites of one query interleave, so they cannot share one span
-  /// cursor or ArmHw through the same handle. `slice` is the partitioning
-  /// fragment id; the node that executes it is resolved at dispatch time
-  /// (the identity without an elastic plan).
-  /// `rel` selects the relation binding (catalog + partitioning) the site
-  /// reads; 0 is the base relation, 1.. the open plan's extra relations.
-  sim::Task<> RunDataSite(int rel, int coord, size_t site_idx, int slice,
-                          Predicate pred, bool sequential_scan,
-                          QueryContext* ctx, sim::JoinCounter* join,
-                          obs::QueryObs* qo);
-  /// Runs one data site: resolves the slice's owner, retries once on the
-  /// new owner if a migration flip raced the dispatch, and fails over to
-  /// the chained backup if the primary is (or goes) down.
-  sim::Task<Status> DataSiteSelect(int rel, int coord, size_t site_idx,
-                                   int slice, Predicate pred,
-                                   bool sequential_scan, QueryContext* ctx,
-                                   obs::QueryObs* qo);
-  /// One select execution at `exec_node` reading `slice`'s primary
-  /// fragment (or its backup copy when `backup_read`).
-  sim::Task<Status> RunSiteOnce(int rel, int coord, int exec_node, int slice,
-                                bool backup_read, Predicate pred,
-                                bool sequential_scan, QueryContext* ctx,
-                                obs::QueryObs* qo);
+  /// Which operator a site runs: a data select, or a BERD aux lookup.
+  enum class SiteKind { kData, kAux };
+  /// Which copy of its slice a site attempt reads.
+  enum class SiteRead { kPrimary, kRedirect, kBackup };
 
-  sim::Task<> RunAuxSite(int rel, int coord, int slice, Predicate pred,
-                         QueryContext* ctx, sim::JoinCounter* join,
-                         obs::QueryObs* qo);
-  sim::Task<Status> AuxSiteLookup(int rel, int coord, int slice,
-                                  Predicate pred, QueryContext* ctx,
-                                  obs::QueryObs* qo);
-  sim::Task<Status> AuxSiteOnce(int rel, int coord, int exec_node, int slice,
-                                bool backup_read, Predicate pred,
-                                QueryContext* ctx, obs::QueryObs* qo);
+  /// One data or aux site of `ctx`'s query: activation at the scheduler,
+  /// then the select at the slice's owner (control message in, RunSelect,
+  /// done message back), all in this one frame, so a site parked on its
+  /// disk holds just this frame and RunSelect's. A failed attempt moves on
+  /// to the node NextSiteNode picks. `slice` is the partitioning fragment
+  /// id; the node that executes it is resolved at dispatch time (the
+  /// identity without an elastic plan). `site_idx` indexes ctx->serving
+  /// (data sites only).
+  ///
+  /// With a probe, the site gets its own QueryObs (sharing the query id and
+  /// parent span) whose costs are merged into the query's before the join
+  /// fires; sites of one query interleave, so they cannot share one span
+  /// cursor or ArmHw through the same handle.
+  sim::Task<> RunSite(QueryContext* ctx, sim::JoinCounter* join,
+                      SiteKind kind, int slice, int site_idx);
+  /// After a site's attempt on `*read`'s copy at `failed` failed with `*st`
+  /// (and not by the deadline), picks the next attempt: one redirect to the
+  /// slice's current owner when a migration flip moved it away from the
+  /// primary `failed`, then the chained backup. Returns the node and
+  /// updates `*read`, or returns -1 with `*st` holding the site's final
+  /// status.
+  int NextSiteNode(const QueryContext& ctx, SiteKind kind, int slice,
+                   int failed, SiteRead* read, Status* st);
+  /// Builds a site's plan for `slice` (its backup copy when `backup_read`).
+  Status BuildSitePlan(const QueryContext& ctx, SiteKind kind, int slice,
+                       bool backup_read, AccessPlan* plan);
+  /// Records that `exec` served the site: the audit's fragment-serve check
+  /// and, for a data site, ctx.serving[site_idx].
+  void ReportServe(QueryContext& ctx, SiteKind kind, int slice, int site_idx,
+                   int exec, SiteRead read);
 
   /// True when `node`'s disk (and the node itself) is currently serviceable.
   bool SiteUp(int node);
@@ -258,6 +266,10 @@ class System {
   std::unique_ptr<SystemCatalog> catalog_;
   std::unique_ptr<workload::QueryGenerator> querygen_;
   std::vector<std::unique_ptr<BufferPool>> pools_;  // empty when disabled
+  /// Page-list blocks of the in-flight plans (declared before the plans).
+  /// A list above the largest pooled block (4 KiB with libstdc++'s default
+  /// options: 512 pages) comes from the heap on each use.
+  std::pmr::unsynchronized_pool_resource page_lists_;
   std::vector<std::unique_ptr<AccessPlan>> plan_storage_;
   std::vector<AccessPlan*> plan_free_;
   Metrics metrics_;
@@ -274,6 +286,9 @@ class System {
   std::unique_ptr<workload::OpenQueryGenerator> opengen_;
   std::vector<std::unique_ptr<QueryScratch>> scratch_storage_;
   std::vector<QueryScratch*> scratch_free_;
+  /// Per-site QueryObs handles, used only when a probe is set.
+  Arena site_obs_arena_;
+  SlabPool<obs::QueryObs> site_obs_{&site_obs_arena_};
   int open_in_flight_ = 0;
 };
 

@@ -54,7 +54,9 @@ class Cpu {
     void await_suspend(std::coroutine_handle<> h) {
       cpu->Submit(h, ms, dma, &status);
     }
-    Status await_resume() noexcept { return std::move(status); }
+    // An rvalue into this awaiter, valid to the end of the co_await's
+    // full-expression, so the awaiting frame holds no Status copy.
+    Status&& await_resume() noexcept { return std::move(status); }
   };
 
   /// Consumes `instructions` of CPU as a regular FCFS request.

@@ -93,7 +93,9 @@ class Disk {
     void await_suspend(std::coroutine_handle<> h) {
       disk->Submit(h, page, write, &status);
     }
-    Status await_resume() noexcept { return std::move(status); }
+    // An rvalue into this awaiter, valid to the end of the co_await's
+    // full-expression, so the awaiting frame holds no Status copy.
+    Status&& await_resume() noexcept { return std::move(status); }
   };
 
   /// Reads one page; resumes the caller when the page is in the SCSI FIFO.

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 namespace declust::hw {
@@ -46,8 +47,10 @@ void NetworkInterface::OnComplete() {
   }
   if (w.handle) {
     sim_->ScheduleResume(sim_->now(), w.handle);
-  } else if (w.fn) {
-    w.fn();
+  } else if (w.rx) {
+    w.transfer->OnReceived();
+  } else {
+    w.transfer->OnSent();
   }
   StartNext();
 }
@@ -66,34 +69,12 @@ Network::Network(sim::Simulation* sim, const HwParams* params, int nodes,
   }
 }
 
-Network::~Network() {
-  // Transfers still in flight when the run is cut off (RunUntil at the end
-  // of the measurement window) hold delivery callbacks with captured state;
-  // destroy them properly.
-  while (inflight_head_ != nullptr) ReleaseTransfer(inflight_head_);
-}
-
-Network::TransferState* Network::NewTransfer() {
-  TransferState* t = transfer_pool_.New();
-  t->next = inflight_head_;
-  if (inflight_head_ != nullptr) inflight_head_->prev = t;
-  inflight_head_ = t;
-  return t;
-}
-
-void Network::ReleaseTransfer(TransferState* t) {
-  if (t->prev != nullptr) {
-    t->prev->next = t->next;
-  } else {
-    inflight_head_ = t->next;
-  }
-  if (t->next != nullptr) t->next->prev = t->prev;
-  transfer_pool_.Delete(t);
-}
+// A Network destroyed mid-run leaves its in-flight transfers to the arena.
+static_assert(std::is_trivially_destructible_v<Transfer>);
 
 void Network::TransferAwaiter::await_suspend(std::coroutine_handle<> h) {
   Network* n = net;
-  TransferState* t = n->NewTransfer();
+  Transfer* t = n->transfer_pool_.New();
   t->net = n;
   t->sender = h;
   t->dst = dst;
@@ -103,15 +84,14 @@ void Network::TransferAwaiter::await_suspend(std::coroutine_handle<> h) {
   // is the sender's; the receiver-side occupancy (async, possibly much
   // later) reuses it so its span stays attributed to the same query.
   t->octx = n->probe_ != nullptr ? n->probe_->context() : obs::Probe::Context{};
-  t->deliver = std::move(deliver);
+  t->deliver = deliver;
   ++n->packets_sent_;
   // Local send (src == dst) still pays one interface pass, modelling the
   // loopback copy, then delivers.
-  n->interface(src).OccupyThen(bytes, [t] { t->OnSent(); }, t->octx,
-                               /*rx=*/false);
+  n->interface(src).OccupyFor(t, /*rx=*/false);
 }
 
-void Network::TransferState::OnSent() {
+void Transfer::OnSent() {
   Network* n = net;
   sim::Simulation* sim = n->sim_;
   // The packet has left the sender: resume the sending process and start
@@ -120,16 +100,15 @@ void Network::TransferState::OnSent() {
   if (local) {
     Finish(Status::OK());
   } else if (n->faults_ != nullptr && !n->faults_->NodeUp(dst, sim->now())) {
-    // Receiver died while the packet was on the wire; the delivery
-    // callback still runs (with an error) so waiters never hang.
+    // Receiver died while the packet was on the wire; the delivery sink
+    // still fires (with an error) so waiters never hang.
     Finish(Status::Unavailable("receiver node down"));
   } else {
-    n->interface(dst).OccupyThen(bytes, [this] { OnReceived(); }, octx,
-                                 /*rx=*/true);
+    n->interface(dst).OccupyFor(this, /*rx=*/true);
   }
 }
 
-void Network::TransferState::OnReceived() {
+void Transfer::OnReceived() {
   Network* n = net;
   if (n->faults_ != nullptr && !n->faults_->NodeUp(dst, n->sim_->now())) {
     Finish(Status::Unavailable("receiver node down"));
@@ -138,12 +117,12 @@ void Network::TransferState::OnReceived() {
   }
 }
 
-void Network::TransferState::Finish(const Status& st) {
-  // Release the pooled state before delivering: the callback may launch a
-  // new transfer that reuses it.
-  auto fn = std::move(deliver);
-  net->ReleaseTransfer(this);
-  fn(st);
+void Transfer::Finish(const Status& st) {
+  // Release the pooled state before delivering: the sink may launch a new
+  // transfer that reuses it.
+  const DeliverySink sink = deliver;
+  net->transfer_pool_.Delete(this);
+  sink(st);
 }
 
 }  // namespace declust::hw

@@ -9,16 +9,14 @@
 // delivered. The interconnect itself adds no contention (fully connected).
 //
 // Allocation: each in-flight transfer's relay state (sender handle, target,
-// delivery callback) lives in a slab-pooled TransferState, so the
-// steady-state packet path performs no heap allocations — the completion
-// callbacks capture a single pointer. Delivery callbacks passed by callers
-// are required to fit std::function's inline buffer in practice (all
-// in-tree ones capture at most two words).
+// delivery sink) lives in a slab-pooled Transfer, so the steady-state packet
+// path performs no heap allocations: interface work items and completion
+// callbacks carry a single pointer, and a delivery sink is a plain function
+// plus its context.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -30,8 +28,60 @@
 #include "src/sim/fault.h"
 #include "src/sim/simulation.h"
 #include "src/sim/stats_collector.h"
+#include "src/sim/trigger.h"
 
 namespace declust::hw {
+
+class Network;
+
+/// \brief Where a transfer reports its delivery Status: a plain function and
+/// its context (two words, no ownership). The default sink ignores delivery.
+struct DeliverySink {
+  void (*fn)(void* ctx, const Status& st) = nullptr;
+  void* ctx = nullptr;
+
+  void operator()(const Status& st) const {
+    if (fn != nullptr) fn(ctx, st);
+  }
+};
+
+/// \brief Waits for one transfer's delivery: its sink records the Status
+/// and fires the trigger. Lives on the waiting coroutine's frame.
+struct DeliveryLatch {
+  explicit DeliveryLatch(sim::Simulation* sim) : delivered(sim) {}
+
+  sim::Trigger delivered;
+  Status status;
+
+  DeliverySink sink() { return {&Deliver, this}; }
+
+ private:
+  static void Deliver(void* ctx, const Status& st) {
+    auto* latch = static_cast<DeliveryLatch*>(ctx);
+    latch->status = st;
+    latch->delivered.Fire();
+  }
+};
+
+/// \brief Relay state of one in-flight transfer, slab-pooled by its Network.
+/// It owns nothing, so a Network destroyed mid-run simply drops the
+/// transfers still in flight: their sinks never fire.
+struct Transfer {
+  Network* net;
+  std::coroutine_handle<> sender;
+  int dst;
+  int bytes;
+  bool local;
+  obs::Probe::Context octx;
+  DeliverySink deliver;
+
+  /// The sender interface is done: resume the sender, start the receive.
+  void OnSent();
+  /// The receiver interface is done: deliver.
+  void OnReceived();
+  /// Releases the pooled state, then fires the sink with `st`.
+  void Finish(const Status& st);
+};
 
 /// \brief One node's FCFS network interface (both directions share it).
 class NetworkInterface {
@@ -59,16 +109,14 @@ class NetworkInterface {
   /// Awaitable: occupy this interface for the send time of `bytes`.
   SendAwaiter Occupy(int bytes) { return SendAwaiter{this, bytes}; }
 
-  /// Fire-and-forget: occupy the interface for the receive time of `bytes`
-  /// and then invoke `on_done` (used for the receiving side of a transfer).
-  /// `octx`/`rx` tag the occupancy span when a probe is wired: the caller
-  /// passes the context captured at the original submit, because this
-  /// method runs from completion callbacks where the probe's live context
-  /// belongs to some other query.
-  void OccupyThen(int bytes, std::function<void()> on_done,
-                  obs::Probe::Context octx = {}, bool rx = false) {
-    Enqueue(Work{nullptr, std::move(on_done), params_->PacketSendMs(bytes),
-                 octx, 0.0, rx});
+  /// Fire-and-forget: occupy the interface for the packet time of
+  /// `t->bytes`, then advance `t` — its receive leg when `rx`, else its send
+  /// leg. The occupancy span is tagged with `t->octx`, the context captured
+  /// at the original submit: this runs from completion callbacks, where the
+  /// probe's live context belongs to some other query.
+  void OccupyFor(Transfer* t, bool rx) {
+    Enqueue(Work{nullptr, t, params_->PacketSendMs(t->bytes), t->octx, 0.0,
+                 rx});
   }
 
   double busy_ms() const { return busy_ms_; }
@@ -78,8 +126,8 @@ class NetworkInterface {
 
  private:
   struct Work {
-    std::coroutine_handle<> handle;   // exactly one of handle/fn set
-    std::function<void()> fn;
+    std::coroutine_handle<> handle;  // exactly one of handle/transfer set
+    Transfer* transfer;
     double ms;
     obs::Probe::Context octx;  // captured at submit when probe_ is set
     double enqueue_ms = 0.0;
@@ -115,7 +163,6 @@ class Network {
   /// non-owning) tags interface occupancy spans; null skips all obs work.
   Network(sim::Simulation* sim, const HwParams* params, int nodes,
           sim::FaultInjector* faults = nullptr, obs::Probe* probe = nullptr);
-  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -131,17 +178,19 @@ class Network {
   /// is down at submit time (fail fast, `deliver` is never invoked), OK
   /// otherwise. Once the send side succeeds, `deliver` is invoked exactly
   /// once with the delivery Status — Unavailable if the receiver crashed
-  /// while the packet was in flight, OK on delivery.
+  /// while the packet was in flight, OK on delivery. A Network destroyed
+  /// with the packet still in flight never fires it.
   ///
   /// Usage:
-  ///   co_await net.Send(src, dst, bytes,
-  ///                     [&](const Status& st) { if (st.ok()) ...; });
+  ///   DeliveryLatch latch(sim);
+  ///   Status st = co_await net.Send(src, dst, bytes, latch.sink());
+  ///   if (st.ok()) { co_await latch.delivered.Wait(); st = latch.status; }
   struct [[nodiscard]] TransferAwaiter {
     Network* net;
     int src;
     int dst;
     int bytes;
-    std::function<void(const Status&)> deliver;
+    DeliverySink deliver;
     Status status;
 
     bool await_ready() noexcept {
@@ -159,40 +208,24 @@ class Network {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h);
-    Status await_resume() noexcept { return std::move(status); }
+    // An rvalue into this awaiter, valid to the end of the co_await's
+    // full-expression, so the awaiting frame holds no Status copy.
+    Status&& await_resume() noexcept { return std::move(status); }
   };
 
-  TransferAwaiter Send(int src, int dst, int bytes,
-                       std::function<void(const Status&)> deliver) {
-    return TransferAwaiter{this, src, dst, bytes, std::move(deliver), Status::OK()};
+  TransferAwaiter Send(int src, int dst, int bytes, DeliverySink deliver) {
+    return TransferAwaiter{this, src, dst, bytes, deliver, Status::OK()};
+  }
+  /// Send whose delivery nobody waits for.
+  TransferAwaiter Send(int src, int dst, int bytes) {
+    return TransferAwaiter{this, src, dst, bytes, {}, Status::OK()};
   }
 
   uint64_t packets_sent() const { return packets_sent_; }
 
  private:
   friend struct TransferAwaiter;
-
-  /// Slab-pooled relay state for one in-flight transfer. In-flight states
-  /// are linked intrusively so teardown mid-run can destroy them (their
-  /// delivery callbacks own captured state).
-  struct TransferState {
-    Network* net;
-    std::coroutine_handle<> sender;
-    int dst;
-    int bytes;
-    bool local;
-    obs::Probe::Context octx;
-    std::function<void(const Status&)> deliver;
-    TransferState* prev = nullptr;
-    TransferState* next = nullptr;
-
-    void OnSent();
-    void OnReceived();
-    void Finish(const Status& st);
-  };
-
-  TransferState* NewTransfer();
-  void ReleaseTransfer(TransferState* t);
+  friend struct Transfer;
 
   sim::Simulation* sim_;
   const HwParams* params_;
@@ -201,8 +234,7 @@ class Network {
   std::vector<std::unique_ptr<NetworkInterface>> interfaces_;
   uint64_t packets_sent_ = 0;
   Arena arena_;
-  SlabPool<TransferState> transfer_pool_;
-  TransferState* inflight_head_ = nullptr;
+  SlabPool<Transfer> transfer_pool_;
 };
 
 }  // namespace declust::hw

@@ -90,17 +90,13 @@ sim::Task<Status> PageCopier::Copy(int src_node, hw::PageAddress src_page,
     while (st.ok() && remaining > 0) {
       const int bytes = std::min(remaining, hp.max_packet_bytes);
       remaining -= bytes;
-      sim::Trigger delivered(sim_);
-      Status deliver_st = Status::OK();
+      hw::DeliveryLatch latch(sim_);
       background();
-      st = co_await machine_->network().Send(
-          src_node, dst_node, bytes, [&](const Status& d) {
-            deliver_st = d;
-            delivered.Fire();
-          });
+      st = co_await machine_->network().Send(src_node, dst_node, bytes,
+                                             latch.sink());
       if (st.ok()) {
-        co_await delivered.Wait();
-        st = deliver_st;
+        co_await latch.delivered.Wait();
+        st = latch.status;
       }
     }
     // ...then the DMA into the destination node's memory and the disk write.

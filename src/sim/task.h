@@ -123,7 +123,10 @@ class [[nodiscard]] Task {
         child.promise().continuation = parent;
         return child;  // symmetric transfer: start the child
       }
-      T await_resume() { return std::move(child.promise().value); }
+      // An rvalue into the child's promise, which lives to the end of the
+      // co_await's full-expression: `v = co_await Child();` moves straight
+      // out of it, and the awaiting frame holds no copy of the value.
+      T&& await_resume() { return std::move(child.promise().value); }
     };
     assert(handle_);
     return Awaiter{handle_};

@@ -14,6 +14,7 @@
 #include "src/hw/node.h"
 #include "src/sim/fault.h"
 #include "src/sim/simulation.h"
+#include "tests/engine/select_one_page.h"
 
 namespace declust::engine {
 namespace {
@@ -23,14 +24,14 @@ sim::Task<> AccessThrice(hw::Node* node, BufferPool* pool,
                          double retry_at_ms, Status* first_status,
                          int64_t* resident_after_first) {
   // Access 1 lands inside the fault window and must fail.
-  *first_status = co_await AccessPage(node, {3, 1}, costs, pool, fc);
+  *first_status = co_await SelectOnePage(node, {3, 1}, costs, pool, fc);
   *resident_after_first = pool->resident();
   // Accesses 2 and 3 run after the window: a real read, then a real hit.
   co_await node->simulation()->WaitFor(retry_at_ms -
                                        node->simulation()->now());
-  const Status second = co_await AccessPage(node, {3, 1}, costs, pool, fc);
+  const Status second = co_await SelectOnePage(node, {3, 1}, costs, pool, fc);
   EXPECT_TRUE(second.ok()) << second.ToString();
-  const Status third = co_await AccessPage(node, {3, 1}, costs, pool, fc);
+  const Status third = co_await SelectOnePage(node, {3, 1}, costs, pool, fc);
   EXPECT_TRUE(third.ok()) << third.ToString();
 }
 
@@ -96,7 +97,7 @@ TEST(BufferFaultRegressionTest, RetriedReadInsertsExactlyOnce) {
   Status status;
   sim.Spawn([](hw::Node* node, BufferPool* p, OperatorCosts c,
                FaultContext* f, Status* out) -> sim::Task<> {
-    *out = co_await AccessPage(node, {3, 1}, c, p, f);
+    *out = co_await SelectOnePage(node, {3, 1}, c, p, f);
   }(&machine.node(0), &pool, costs, &fc, &status));
   sim.Run();
 

@@ -169,7 +169,8 @@ TEST(CatalogBuildTest, ParallelBuildIsByteIdenticalToSerial) {
 
     // Resolved plan addresses (index descent + data pages) agree too.
     const auto expand = [](const AccessPlan& plan) {
-      std::vector<hw::PageAddress> pages = plan.index_pages;
+      std::vector<hw::PageAddress> pages(plan.index_pages.begin(),
+                                         plan.index_pages.end());
       plan.ForEachDataPage([&](hw::PageAddress a) { pages.push_back(a); });
       return pages;
     };

@@ -13,6 +13,7 @@
 #include "src/hw/node.h"
 #include "src/obs/probe.h"
 #include "src/sim/fault.h"
+#include "tests/engine/select_one_page.h"
 
 namespace declust::engine {
 namespace {
@@ -27,7 +28,7 @@ struct AccountingRun {
 sim::Task<> DriveAccess(hw::Node* node, hw::PageAddress page,
                         const OperatorCosts& costs, obs::QueryObs* qo,
                         FaultContext* fc, Status* out, double* done_at) {
-  *out = co_await AccessPage(node, page, costs, /*pool=*/nullptr, fc, qo);
+  *out = co_await SelectOnePage(node, page, costs, /*pool=*/nullptr, fc, qo);
   *done_at = node->simulation()->now();
 }
 
@@ -69,7 +70,7 @@ TEST(FailoverAccountingTest, ExhaustedRetriesChargeExactlySleptBackoff) {
 
 TEST(FailoverAccountingTest, DeadlineChargesRemainingBackoffExactlyOnce) {
   // base == cap == 50 with a 120 ms deadline: once now + 50 would cross the
-  // deadline, AccessPage must give up *before* sleeping. The pending
+  // deadline, the page read must give up *before* sleeping. The pending
   // backoff is charged against the deadline in that one comparison and
   // nowhere else — it is never slept and never added to backoff_ms.
   FailoverPolicy policy;

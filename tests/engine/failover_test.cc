@@ -11,6 +11,7 @@
 #include "src/engine/system.h"
 #include "src/sim/fault.h"
 #include "src/workload/wisconsin.h"
+#include "tests/engine/select_one_page.h"
 
 namespace declust::engine {
 namespace {
@@ -115,7 +116,7 @@ TEST(ChainedBackupTest, BerdAuxBackupMatchesPrimary) {
 sim::Task<> DriveAccess(hw::Node* node, hw::PageAddress page,
                         const OperatorCosts& costs, FaultContext* fc,
                         Status* out, double* done_at) {
-  *out = co_await AccessPage(node, page, costs, nullptr, fc);
+  *out = co_await SelectOnePage(node, page, costs, nullptr, fc);
   *done_at = node->simulation()->now();
 }
 

@@ -1,0 +1,22 @@
+// Page-level fault tests drive the select operator over a one-page plan.
+#pragma once
+
+#include "src/engine/operators.h"
+
+namespace declust::engine {
+
+/// Runs RunSelect at `node` over a plan holding just `page`, with zero
+/// activation CPU and no qualifying tuples: the select is then exactly one
+/// page access (pool lookup, disk read with its retries and backoff, DMA,
+/// processing).
+inline sim::Task<Status> SelectOnePage(hw::Node* node, hw::PageAddress page,
+                                       OperatorCosts costs, BufferPool* pool,
+                                       FaultContext* fc,
+                                       obs::QueryObs* qo = nullptr) {
+  AccessPlan plan;
+  plan.index_pages.push_back(page);
+  costs.startup_instructions = 0;
+  co_return co_await RunSelect(node, plan, node->id(), costs, pool, fc, qo);
+}
+
+}  // namespace declust::engine

@@ -2,7 +2,8 @@
 // operator new/delete are replaced with counting versions, a quick
 // figure-8-style engine run is warmed up past its pool-population phase,
 // and the measurement segment must then dispatch tens of thousands of
-// events with ZERO heap allocations.
+// events with ZERO heap allocations. The same counters track live heap
+// bytes, which bound what one in-flight data site costs.
 //
 // The override counts every allocation in the process, so this test must
 // not run in the same binary as unrelated tests that allocate from other
@@ -12,6 +13,9 @@
 // property unprovable there; the steady-state assertions are skipped.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -21,30 +25,44 @@
 #include "src/exp/experiment.h"
 #include "src/sim/simulation.h"
 #include "src/workload/mixes.h"
+#include "src/workload/open.h"
 #include "src/workload/wisconsin.h"
 
 namespace {
 std::atomic<int64_t> g_allocations{0};
 std::atomic<int64_t> g_frees{0};
+// Live heap bytes (as malloc_usable_size reports them) and their high-water
+// mark, which a test may reset.
+std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_live_bytes{0};
 
-void* CountedAlloc(size_t n) {
+void* Counted(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
+  const auto bytes = static_cast<int64_t>(malloc_usable_size(p));
+  const int64_t live =
+      g_live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  int64_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_live_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
 }
 
+void* CountedAlloc(size_t n) { return Counted(std::malloc(n == 0 ? 1 : n)); }
+
 void* CountedAllocAligned(size_t n, size_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
   const size_t rounded = (n + align - 1) & ~(align - 1);
-  if (void* p = std::aligned_alloc(align, rounded == 0 ? align : rounded)) {
-    return p;
-  }
-  throw std::bad_alloc();
+  return Counted(std::aligned_alloc(align, rounded == 0 ? align : rounded));
 }
 
 // glibc free() handles both malloc and aligned_alloc pointers.
 void CountedFree(void* p) noexcept {
-  if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
+  if (p != nullptr) {
+    g_frees.fetch_add(1, std::memory_order_relaxed);
+    g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  }
   std::free(p);
 }
 }  // namespace
@@ -185,6 +203,59 @@ TEST(AllocCountTest, ScanHeavySteadyStateIsHeapSilent) {
   wl.name += "+scan";
   ExpectSteadyStateHeapSilent(wl);
 #endif
+}
+
+TEST(AllocCountTest, ParkedDataSiteCostsAtMostTwoKiB) {
+  // Range declustering sends every attribute-A query to all 32 processors,
+  // so an open load past the knee parks thousands of data sites at the
+  // disks at once. A light first second warms every pool the load reaches
+  // (per-disk request slabs, calendar, frame cache); everything the
+  // overload then adds to the heap (coroutine frames, pooled plans and
+  // their page lists, sessions) is charged to the peak number of sites
+  // queued at the disks. That count leaves out the sites in service or
+  // elsewhere, so the bound caps what one parked site holds.
+  const auto wl = workload::MakeMix(workload::ResourceClass::kLow,
+                                    workload::ResourceClass::kLow);
+  workload::WisconsinOptions wopts;
+  wopts.cardinality = 20'000;
+  const auto relation = workload::MakeWisconsin(wopts);
+  constexpr int kProcessors = 32;
+  auto part = exp::MakePartitioning("range", relation, wl, kProcessors);
+  ASSERT_TRUE(part.ok()) << part.status().message();
+  auto open = workload::OpenPlan::Parse("rate:20;rate:600@t=1s;cap:256");
+  ASSERT_TRUE(open.ok()) << open.status().message();
+
+  sim::Simulation sim;
+  engine::SystemConfig cfg;
+  cfg.hw.num_processors = kProcessors;
+  cfg.seed = 17;
+  cfg.open = &*open;
+  engine::System system(&sim, cfg, &relation, part->get(), &wl);
+  ASSERT_TRUE(system.Init().ok());
+  system.Start();
+  sim.RunUntil(1'000.0);
+
+  const int64_t baseline = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_live_bytes.store(baseline, std::memory_order_relaxed);
+  int64_t peak_parked = 0;
+  for (double t = 1'001.0; t <= 4'000.0; t += 1.0) {
+    sim.RunUntil(t);
+    int64_t parked = 0;
+    for (int n = 0; n < kProcessors; ++n) {
+      parked += static_cast<int64_t>(
+          system.machine().node(n).disk().queue_length());
+    }
+    peak_parked = std::max(peak_parked, parked);
+  }
+  const int64_t peak_extra =
+      g_peak_live_bytes.load(std::memory_order_relaxed) - baseline;
+
+  ASSERT_GT(peak_parked, 2'000) << "the load is not past the knee";
+  const double per_site =
+      static_cast<double>(peak_extra) / static_cast<double>(peak_parked);
+  EXPECT_LE(per_site, 2'048.0)
+      << peak_extra << " heap bytes over the warm system for " << peak_parked
+      << " parked data sites";
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Sanitizer gate for the robustness subsystems: builds the repo under
 # AddressSanitizer and UndefinedBehaviorSanitizer and runs every test
-# labeled setup, faults, audit, recovery, resize, open, or control under
-# each. The fault-injection, invariant-audit, online-recovery,
+# labeled kernel, setup, faults, audit, recovery, resize, open, or control
+# under each. The fault-injection, invariant-audit, online-recovery,
 # elastic-membership, open-system and closed-loop-control code paths are
 # exactly the ones that exercise coroutine lifetimes, signal-driven
 # interrupts and background I/O racing foreground queries — the bugs
-# sanitizers exist to catch. The setup label (grid file, declustering and
-# rebalancer, catalog indexes) covers the index arithmetic of the
-# partitioning path.
+# sanitizers exist to catch. The kernel label (event calendar, coroutine
+# tasks, channels and resources; the CPU, disk and network models with the
+# network's delivery sinks) covers the frame lifetimes every layer above
+# rests on; under ASan the FrameCache passes each frame through the heap.
+# The setup label (grid file, declustering and rebalancer, catalog indexes)
+# covers the index arithmetic of the partitioning path.
 #
 # A third pass builds under ThreadSanitizer and runs the tests that drive
 # real threads (the thread pool, the runner's parallel sweeps and the jobs=4
@@ -34,7 +37,7 @@ while [[ $# -gt 0 ]]; do
     --jobs=*) JOBS="${1#*=}"; shift ;;
     --fresh) FRESH=1; shift ;;
     -h|--help)
-      sed -n '2,24p' "$0"; exit 0 ;;
+      sed -n '2,27p' "$0"; exit 0 ;;
     *) echo "unknown option: $1" >&2; exit 2 ;;
   esac
 done
@@ -65,12 +68,13 @@ run_preset() {
 # the threaded catalog-build pass under the sanitizer (the 1,024-node
 # Release-only test self-skips there and runs in the relsmoke tree below).
 run_preset asan DECLUST_ASAN \
-  'setup|faults|audit|recovery|resize|open|control|scale' \
-  grid_test decluster_test engine_test fault_test audit_test recovery_test \
-  resize_test open_test control_test scale_test
-run_preset ubsan DECLUST_UBSAN 'setup|faults|audit|recovery|resize|open|control' \
-  grid_test decluster_test engine_test fault_test audit_test recovery_test \
-  resize_test open_test control_test
+  'kernel|setup|faults|audit|recovery|resize|open|control|scale' \
+  sim_test hw_test grid_test decluster_test engine_test fault_test \
+  audit_test recovery_test resize_test open_test control_test scale_test
+run_preset ubsan DECLUST_UBSAN \
+  'kernel|setup|faults|audit|recovery|resize|open|control' \
+  sim_test hw_test grid_test decluster_test engine_test fault_test \
+  audit_test recovery_test resize_test open_test control_test
 # Threads enter through the ThreadPool: --jobs runs sweep replications side
 # by side, each on its own Simulation. TSAN covers the pool itself and the
 # runner's determinism tests (the threads label), plus the jobs=4 identity
@@ -165,6 +169,6 @@ if [[ "$FAILED" != 0 ]]; then
   echo "ci_check: sanitizer gate FAILED" >&2
   exit 1
 fi
-echo "ci_check: setup|faults|audit|recovery|resize|open|control|scale clean under" \
-  "ASAN/UBSAN, threads|recovery|resize|open|control clean under TSAN," \
+echo "ci_check: kernel|setup|faults|audit|recovery|resize|open|control|scale clean" \
+  "under ASAN/UBSAN, threads|recovery|resize|open|control clean under TSAN," \
   "serial vs --jobs 4 release digest stable (rebuild-plus-resize included)"
