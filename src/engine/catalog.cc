@@ -41,17 +41,16 @@ Status DescentPages(const storage::Extent& extent, int64_t height,
 
 }  // namespace
 
-void FragmentStore::BuildIndexes(std::span<const RecordId> records,
-                                 storage::AttrId attr_a,
-                                 storage::AttrId attr_b,
-                                 const CatalogOptions& opts) {
+CatalogTrees::Slice CatalogTrees::BuildSlice(
+    const storage::Relation& relation, std::span<const RecordId> records,
+    storage::AttrId attr_a, storage::AttrId attr_b, int index_fanout) {
   // Clustered order on B. The sorted order is scratch: once the indexes
-  // are bulk-loaded, positions (not record ids) are all the store needs.
+  // are bulk-loaded, positions (not record ids) are all a store needs.
   // Key-only, no rid tie-break: std::sort's moves depend only on comparison
   // outcomes, so ties land exactly where an indirect sort of the rids put them.
   std::vector<storage::BTreeEntry> b_entries(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
-    b_entries[i] = {relation_->value(records[i], attr_b), records[i]};
+    b_entries[i] = {relation.value(records[i], attr_b), records[i]};
   }
   std::sort(b_entries.begin(), b_entries.end(),
             [](const storage::BTreeEntry& x, const storage::BTreeEntry& y) {
@@ -61,7 +60,7 @@ void FragmentStore::BuildIndexes(std::span<const RecordId> records,
   // Build both indexes over positions in clustered order.
   std::vector<storage::BTreeEntry> a_entries(b_entries.size());
   for (size_t pos = 0; pos < b_entries.size(); ++pos) {
-    a_entries[pos] = {relation_->value(b_entries[pos].rid, attr_a),
+    a_entries[pos] = {relation.value(b_entries[pos].rid, attr_a),
                       static_cast<RecordId>(pos)};
     b_entries[pos].rid = static_cast<RecordId>(pos);
   }
@@ -69,64 +68,100 @@ void FragmentStore::BuildIndexes(std::span<const RecordId> records,
             [](const storage::BTreeEntry& x, const storage::BTreeEntry& y) {
               return x.key < y.key;
             });
-  clustered_b_ = std::make_shared<const storage::BPlusTree>(
-      storage::BPlusTree::BulkLoad(std::move(b_entries), opts.index_fanout));
-  nonclustered_a_ = std::make_shared<const storage::BPlusTree>(
-      storage::BPlusTree::BulkLoad(std::move(a_entries), opts.index_fanout));
+  return Slice{
+      storage::BPlusTree::BulkLoad(std::move(b_entries), index_fanout),
+      storage::BPlusTree::BulkLoad(std::move(a_entries), index_fanout)};
 }
 
-FragmentStore::FragmentStore(const storage::Relation* relation,
-                             std::span<const RecordId> records,
-                             storage::AttrId attr_a, storage::AttrId attr_b,
-                             const CatalogOptions& opts,
-                             const hw::HwParams& hw,
-                             storage::DiskLayout* layout)
-    : relation_(relation),
-      tuple_count_(static_cast<int64_t>(records.size())),
-      page_layout_(hw.tuples_per_page) {
-  BuildIndexes(records, attr_a, attr_b, opts);
-
-  // Allocate physical extents: data, then the two indexes. Allocation can
-  // fail (simulated disk full) for relations the default geometry cannot
-  // hold; record the Status instead of asserting — an assert compiles away
-  // in Release and left the extents dangling at {0, 0}.
-  auto data = layout->Allocate(page_layout_.PagesFor(tuple_count_));
-  auto idx_b = layout->Allocate(clustered_b_->node_count());
-  auto idx_a = layout->Allocate(nonclustered_a_->node_count());
-  if (!data.ok() || !idx_b.ok() || !idx_a.ok()) {
-    status_ = Status::OutOfRange(
-        "fragment of " + std::to_string(tuple_count_) +
-        " tuples does not fit the simulated disk (" +
-        std::to_string(layout->capacity_pages()) + " pages; raise "
-        "disk_cylinders)");
-    return;
+Result<std::shared_ptr<const CatalogTrees>> CatalogTrees::Build(
+    const storage::Relation* relation,
+    const decluster::Partitioning* partitioning, storage::AttrId attr_a,
+    storage::AttrId attr_b, int index_fanout, int build_jobs) {
+  if (relation == nullptr || partitioning == nullptr) {
+    return Status::InvalidArgument("null relation or partitioning");
   }
-  data_extent_ = *data;
-  index_b_extent_ = *idx_b;
-  index_a_extent_ = *idx_a;
+  const int arity = relation->schema().num_attributes();
+  if (attr_a < 0 || attr_a >= arity || attr_b < 0 || attr_b >= arity) {
+    return Status::OutOfRange("catalog trees: attribute out of range");
+  }
+  if (index_fanout < 4) {
+    return Status::InvalidArgument("catalog trees: index fanout " +
+                                   std::to_string(index_fanout) +
+                                   " is below 4");
+  }
+  auto trees = std::shared_ptr<CatalogTrees>(new CatalogTrees());
+  trees->relation_ = relation;
+  trees->partitioning_ = partitioning;
+  trees->attr_a_ = attr_a;
+  trees->attr_b_ = attr_b;
+  trees->index_fanout_ = index_fanout;
+  const int slices = partitioning->num_nodes();
+  trees->slices_.resize(static_cast<size_t>(slices));
+  const auto& node_records = partitioning->node_records();
+  const auto build_slice = [&](int s) {
+    trees->slices_[static_cast<size_t>(s)] =
+        BuildSlice(*relation, node_records[static_cast<size_t>(s)], attr_a,
+                   attr_b, index_fanout);
+  };
+  const int jobs = std::min(ThreadPool::ResolveJobs(build_jobs), slices);
+  if (jobs <= 1) {
+    for (int s = 0; s < slices; ++s) build_slice(s);
+  } else {
+    ThreadPool pool(jobs);
+    for (int s = 0; s < slices; ++s) {
+      pool.Submit([&build_slice, s] { build_slice(s); });
+    }
+    pool.Wait();
+  }
+  return std::shared_ptr<const CatalogTrees>(std::move(trees));
 }
 
-FragmentStore::FragmentStore(const storage::Relation* relation,
-                             std::span<const RecordId> records,
-                             storage::AttrId attr_a, storage::AttrId attr_b,
-                             const CatalogOptions& opts,
+Status CatalogTrees::CheckBuiltFor(const storage::Relation* relation,
+                                   const decluster::Partitioning* partitioning,
+                                   storage::AttrId attr_a,
+                                   storage::AttrId attr_b,
+                                   int index_fanout) const {
+  const auto mismatch = [](const std::string& what) {
+    return Status::InvalidArgument("catalog trees were built for " + what);
+  };
+  if (relation != relation_) return mismatch("another relation");
+  if (partitioning == nullptr || partitioning->num_nodes() != num_slices()) {
+    return mismatch(std::to_string(num_slices()) + " slices, not " +
+                    std::to_string(partitioning == nullptr
+                                       ? 0
+                                       : partitioning->num_nodes()));
+  }
+  if (partitioning != partitioning_) return mismatch("another partitioning");
+  if (attr_a != attr_a_ || attr_b != attr_b_) {
+    return mismatch("attributes (" + std::to_string(attr_a_) + ", " +
+                    std::to_string(attr_b_) + "), not (" +
+                    std::to_string(attr_a) + ", " + std::to_string(attr_b) +
+                    ")");
+  }
+  if (index_fanout != index_fanout_) {
+    return mismatch("index fanout " + std::to_string(index_fanout_) +
+                    ", not " + std::to_string(index_fanout));
+  }
+  return Status::OK();
+}
+
+FragmentStore::FragmentStore(const CatalogTrees::Slice* trees,
                              const hw::HwParams& hw,
                              const storage::Extent& data,
                              const storage::Extent& idx_b,
                              const storage::Extent& idx_a)
-    : relation_(relation),
-      tuple_count_(static_cast<int64_t>(records.size())),
+    : trees_(trees),
+      tuple_count_(trees->clustered_b.size()),
       page_layout_(hw.tuples_per_page),
       data_extent_(data),
       index_b_extent_(idx_b),
       index_a_extent_(idx_a) {
-  BuildIndexes(records, attr_a, attr_b, opts);
-  // The serial allocation pass sized these extents without building the
-  // trees (BulkLoadNodeCount); a mismatch here means that function drifted
-  // from BulkLoad and every address after this extent would be wrong.
+  // The serial allocation pass sized these extents without the trees
+  // (BulkLoadNodeCount); a mismatch here means that function drifted from
+  // BulkLoad and every address after this extent would be wrong.
   if (page_layout_.PagesFor(tuple_count_) != data_extent_.num_pages ||
-      clustered_b_->node_count() != index_b_extent_.num_pages ||
-      nonclustered_a_->node_count() != index_a_extent_.num_pages) {
+      trees_->clustered_b.node_count() != index_b_extent_.num_pages ||
+      trees_->nonclustered_a.node_count() != index_a_extent_.num_pages) {
     status_ = Status::Internal(
         "preallocated extents do not match built index sizes (BulkLoad vs "
         "BulkLoadNodeCount drift)");
@@ -137,10 +172,8 @@ FragmentStore::FragmentStore(const FragmentStore& primary,
                              const storage::Extent& data,
                              const storage::Extent& idx_b,
                              const storage::Extent& idx_a)
-    : relation_(primary.relation_),
+    : trees_(primary.trees_),
       tuple_count_(primary.tuple_count_),
-      clustered_b_(primary.clustered_b_),
-      nonclustered_a_(primary.nonclustered_a_),
       page_layout_(primary.page_layout_),
       data_extent_(data),
       index_b_extent_(idx_b),
@@ -154,12 +187,13 @@ Status FragmentStore::ClusteredAccessInto(Value lo, Value hi,
   // The clustered path needs only the range's shape: count plus first/last
   // positions. RangeBounds walks the leaf chain without materialising the
   // entries, so this plan is built without touching the heap.
-  const auto range = clustered_b_->RangeBounds(lo, hi);
+  const storage::BPlusTree& clustered_b = trees_->clustered_b;
+  const auto range = clustered_b.RangeBounds(lo, hi);
   out->tuples = range.count;
   const int64_t first_pos = range.count == 0 ? 0 : range.first.rid;
   const int64_t avg_per_leaf_b = std::max<int64_t>(
-      1, clustered_b_->size() / std::max<int64_t>(1, clustered_b_->leaf_count()));
-  DECLUST_RETURN_NOT_OK(DescentPages(index_b_extent_, clustered_b_->height(),
+      1, clustered_b.size() / std::max<int64_t>(1, clustered_b.leaf_count()));
+  DECLUST_RETURN_NOT_OK(DescentPages(index_b_extent_, clustered_b.height(),
                                      first_pos / avg_per_leaf_b, layout,
                                      &out->index_pages));
   if (range.count > 0) {
@@ -181,20 +215,21 @@ Status FragmentStore::NonClusteredAccessInto(Value lo, Value hi,
                                              PlanScratch* scratch,
                                              AccessPlan* out) const {
   out->clear();
+  const storage::BPlusTree& nonclustered_a = trees_->nonclustered_a;
   std::vector<storage::BTreeEntry>& entries = scratch->entries;
   entries.clear();
-  nonclustered_a_->RangeSearchInto(lo, hi, &entries);
+  nonclustered_a.RangeSearchInto(lo, hi, &entries);
   out->tuples = static_cast<int64_t>(entries.size());
 
   // Descent plus any extra leaves the range spans.
-  const int64_t avg_per_leaf =
-      std::max<int64_t>(1, nonclustered_a_->size() /
-                               std::max<int64_t>(1, nonclustered_a_->leaf_count()));
-  const int64_t extra_leaves = nonclustered_a_->LeafPagesTouched(lo, hi) - 1;
+  const int64_t avg_per_leaf = std::max<int64_t>(
+      1, nonclustered_a.size() /
+             std::max<int64_t>(1, nonclustered_a.leaf_count()));
+  const int64_t extra_leaves = nonclustered_a.LeafPagesTouched(lo, hi) - 1;
   out->index_pages.reserve(static_cast<size_t>(
-      nonclustered_a_->height() + std::max<int64_t>(0, extra_leaves)));
+      nonclustered_a.height() + std::max<int64_t>(0, extra_leaves)));
   DECLUST_RETURN_NOT_OK(
-      DescentPages(index_a_extent_, nonclustered_a_->height(),
+      DescentPages(index_a_extent_, nonclustered_a.height(),
                    (entries.empty() ? 0 : entries.front().key) / avg_per_leaf,
                    layout, &out->index_pages));
   for (int64_t l = 0; l < extra_leaves; ++l) {
@@ -234,7 +269,7 @@ Status FragmentStore::ScanAccessInto(int attr, Value lo, Value hi,
         auto run, layout.ResolveRun(data_extent_, 0, data_extent_.num_pages));
     out->data_runs.push_back(run);
   }
-  const auto& tree = (attr == 1) ? *clustered_b_ : *nonclustered_a_;
+  const auto& tree = (attr == 1) ? trees_->clustered_b : trees_->nonclustered_a;
   out->tuples = tree.RangeCount(lo, hi);
   return Status::OK();
 }
@@ -243,13 +278,16 @@ Result<std::unique_ptr<SystemCatalog>> SystemCatalog::Build(
     const storage::Relation* relation,
     const decluster::Partitioning* partitioning, storage::AttrId attr_a,
     storage::AttrId attr_b, const hw::HwParams& hw, CatalogOptions opts,
-    const PlacementSpec* placement, SystemCatalog* share_disks_with) {
+    const PlacementSpec* placement, SystemCatalog* share_disks_with,
+    std::shared_ptr<const CatalogTrees> trees) {
   if (relation == nullptr || partitioning == nullptr) {
     return Status::InvalidArgument("null relation or partitioning");
   }
+  if (trees != nullptr) {
+    DECLUST_RETURN_NOT_OK(trees->CheckBuiltFor(relation, partitioning, attr_a,
+                                               attr_b, opts.index_fanout));
+  }
   auto catalog = std::unique_ptr<SystemCatalog>(new SystemCatalog());
-  catalog->relation_ = relation;
-  catalog->partitioning_ = partitioning;
   catalog->berd_ =
       dynamic_cast<const decluster::BerdPartitioning*>(partitioning);
   catalog->opts_ = opts;
@@ -370,31 +408,20 @@ Result<std::unique_ptr<SystemCatalog>> SystemCatalog::Build(
     }
   }
 
-  // --- Pass 2: index construction, parallel over slices. ----------------
-  // Each slice sorts and bulk-loads only its own trees into extents pass 1
-  // reserved — no shared mutable state, so the result is byte-identical
-  // for any job count.
-  const auto build_store = [&](int slice) {
-    const auto& ext = primary_extents[static_cast<size_t>(slice)];
-    catalog->stores_[static_cast<size_t>(slice)] =
-        std::make_unique<FragmentStore>(
-            relation,
-            std::span<const RecordId>(
-                node_records[static_cast<size_t>(slice)]),
-            attr_a, attr_b, opts, hw, ext.data, ext.idx_b, ext.idx_a);
-  };
-  const int jobs =
-      std::min(ThreadPool::ResolveJobs(opts.build_jobs), slices);
-  if (jobs <= 1) {
-    for (int slice = 0; slice < slices; ++slice) build_store(slice);
-  } else {
-    ThreadPool pool(jobs);
-    for (int slice = 0; slice < slices; ++slice) {
-      pool.Submit([&build_store, slice] { build_store(slice); });
-    }
-    pool.Wait();
+  // --- Pass 2: wire each slice's trees to its reserved extents. ---------
+  // A caller-supplied set (one per partitioning, shared by every point of
+  // a sweep) and a set built here take the same path.
+  if (trees == nullptr) {
+    DECLUST_ASSIGN_OR_RETURN(
+        trees, CatalogTrees::Build(relation, partitioning, attr_a, attr_b,
+                                   opts.index_fanout, opts.build_jobs));
   }
-  for (const auto& store : catalog->stores_) {
+  catalog->trees_ = std::move(trees);
+  for (int slice = 0; slice < slices; ++slice) {
+    const auto& ext = primary_extents[static_cast<size_t>(slice)];
+    auto& store = catalog->stores_[static_cast<size_t>(slice)];
+    store = std::make_unique<FragmentStore>(&catalog->trees_->slice(slice), hw,
+                                            ext.data, ext.idx_b, ext.idx_a);
     DECLUST_RETURN_NOT_OK(store->status());
   }
 

@@ -91,7 +91,7 @@ struct AccessPlan {
   }
 };
 
-/// rief Reusable scratch for plan construction. Plan building is
+/// \brief Reusable scratch for plan construction. Plan building is
 /// synchronous (no co_await inside), so one scratch per catalog suffices:
 /// each call finishes with the scratch before returning.
 struct PlanScratch {
@@ -118,41 +118,79 @@ struct CatalogOptions {
   int build_jobs = 0;
 };
 
+/// \brief The immutable index trees of every slice of one partitioning:
+/// per slice, the clustered B+-tree on attribute B and the non-clustered
+/// one on A, both keyed to positions in clustered order. The set is a pure
+/// function of (relation, partitioning, attr_a, attr_b, index_fanout), so
+/// one set serves every catalog built over those inputs: each point of a
+/// sweep, chained backups, elastic placements and shared-disk relations
+/// alike. Extents, placement tables and backups stay per catalog. Nothing
+/// mutates a set after Build, so catalogs on different threads read one set
+/// without locks.
+class CatalogTrees {
+ public:
+  struct Slice {
+    storage::BPlusTree clustered_b;
+    storage::BPlusTree nonclustered_a;
+  };
+
+  /// Sorts each slice's records into clustered order and bulk-loads both
+  /// trees, over `build_jobs` threads (0 resolves DECLUST_JOBS, absent ->
+  /// 1). Each slice builds only its own trees, so the set is identical for
+  /// any job count.
+  static Result<std::shared_ptr<const CatalogTrees>> Build(
+      const storage::Relation* relation,
+      const decluster::Partitioning* partitioning, storage::AttrId attr_a,
+      storage::AttrId attr_b, int index_fanout, int build_jobs = 0);
+
+  int num_slices() const { return static_cast<int>(slices_.size()); }
+  const Slice& slice(int s) const { return slices_[static_cast<size_t>(s)]; }
+
+  /// OK when the set was built from exactly these inputs; InvalidArgument
+  /// naming the first difference otherwise.
+  Status CheckBuiltFor(const storage::Relation* relation,
+                       const decluster::Partitioning* partitioning,
+                       storage::AttrId attr_a, storage::AttrId attr_b,
+                       int index_fanout) const;
+
+ private:
+  CatalogTrees() = default;
+
+  /// One slice's trees: sorts a transient copy of `records` on B, then
+  /// bulk-loads B over clustered positions and A over the same positions.
+  static Slice BuildSlice(const storage::Relation& relation,
+                          std::span<const RecordId> records,
+                          storage::AttrId attr_a, storage::AttrId attr_b,
+                          int index_fanout);
+
+  const storage::Relation* relation_ = nullptr;
+  const decluster::Partitioning* partitioning_ = nullptr;
+  storage::AttrId attr_a_ = 0;
+  storage::AttrId attr_b_ = 0;
+  int index_fanout_ = 0;
+  std::vector<Slice> slices_;
+};
+
 /// \brief One node's fragment: clustered storage + both indexes + extents.
 class FragmentStore {
  public:
-  /// Builds the fragment's indexes and allocates its extents. `records` is
-  /// a read-only view (typically over Partitioning::node_records()) — the
-  /// store sorts a private copy transiently and keeps no per-tuple state,
-  /// so setup memory is O(1) per store beyond the shared index content.
-  FragmentStore(const storage::Relation* relation,
-                std::span<const RecordId> records, storage::AttrId attr_a,
-                storage::AttrId attr_b, const CatalogOptions& opts,
-                const hw::HwParams& hw, storage::DiskLayout* layout);
+  /// Wires one slice's trees to extents the catalog's serial allocation
+  /// pass reserved (sized via PageLayout::PagesFor and
+  /// storage::BPlusTree::BulkLoadNodeCount, pure functions of the tuple
+  /// count and fanout). `trees` must outlive the store. status() is
+  /// Internal if the trees do not match the reserved extent sizes.
+  FragmentStore(const CatalogTrees::Slice* trees, const hw::HwParams& hw,
+                const storage::Extent& data, const storage::Extent& idx_b,
+                const storage::Extent& idx_a);
 
-  /// Builds the fragment's indexes into extents a serial allocation pass
-  /// already reserved (sized via storage::BPlusTree::BulkLoadNodeCount, a
-  /// pure function of tuple count and fanout). This is the parallel-build
-  /// constructor: it touches no shared state, so slices can construct
-  /// concurrently while disk addresses stay byte-identical to the serial
-  /// build. status() is Internal if the built trees do not match the
-  /// reserved extent sizes.
-  FragmentStore(const storage::Relation* relation,
-                std::span<const RecordId> records, storage::AttrId attr_a,
-                storage::AttrId attr_b, const CatalogOptions& opts,
-                const hw::HwParams& hw, const storage::Extent& data,
-                const storage::Extent& idx_b, const storage::Extent& idx_a);
-
-  /// Builds a chained-backup replica of `primary` on extents the serial
-  /// allocation pass reserved. The backup is content-identical by
-  /// construction (same records, same options), so it shares the primary's
-  /// immutable index trees instead of rebuilding them.
+  /// A chained-backup replica of `primary` on its own extents. The backup
+  /// is content-identical by construction (same records, same options), so
+  /// it reads the primary's trees.
   FragmentStore(const FragmentStore& primary, const storage::Extent& data,
                 const storage::Extent& idx_b, const storage::Extent& idx_a);
 
-  /// Whether extent allocation succeeded. A relation too large for the
-  /// simulated disk used to trip a Release-mode silent-UB assert; callers
-  /// (SystemCatalog::Build) now check and propagate this instead.
+  /// Whether the trees fit the reserved extents; SystemCatalog::Build
+  /// checks and propagates this.
   const Status& status() const { return status_; }
 
   int64_t tuple_count() const { return tuple_count_; }
@@ -160,21 +198,21 @@ class FragmentStore {
 
   /// The bulk-loaded indexes. Entries are (key, position in clustered
   /// order): B is the clustered index, A the non-clustered one.
-  const storage::BPlusTree& clustered_index() const { return *clustered_b_; }
+  const storage::BPlusTree& clustered_index() const {
+    return trees_->clustered_b;
+  }
   const storage::BPlusTree& nonclustered_index() const {
-    return *nonclustered_a_;
+    return trees_->nonclustered_a;
   }
 
   /// Identity of the shared index content: a backup replica returns its
   /// primary's pointer. Lets footprint accounting count shared trees once.
-  const void* index_identity() const { return clustered_b_.get(); }
+  const void* index_identity() const { return trees_; }
   /// Resident bytes of this store's index trees (shared content counted in
   /// full — dedupe across stores with index_identity()).
   int64_t index_memory_bytes() const {
-    int64_t bytes = 0;
-    if (clustered_b_ != nullptr) bytes += clustered_b_->memory_bytes();
-    if (nonclustered_a_ != nullptr) bytes += nonclustered_a_->memory_bytes();
-    return bytes;
+    return trees_->clustered_b.memory_bytes() +
+           trees_->nonclustered_a.memory_bytes();
   }
   /// Simulated bytes of the data extent (pages * page size); 64-bit so
   /// 10M-tuple fragments do not wrap.
@@ -243,19 +281,10 @@ class FragmentStore {
   }
 
  private:
-  /// Sorts a transient copy of `records` into clustered order and bulk-
-  /// loads both index trees. Shared by the allocating and pre-allocated
-  /// constructors.
-  void BuildIndexes(std::span<const RecordId> records, storage::AttrId attr_a,
-                    storage::AttrId attr_b, const CatalogOptions& opts);
-
-  const storage::Relation* relation_;
+  // Owned by the catalog's CatalogTrees; a chained-backup replica points at
+  // its primary's trees, so backups add no index memory.
+  const CatalogTrees::Slice* trees_;
   int64_t tuple_count_ = 0;
-  // Immutable once built; a chained-backup replica shares its primary's
-  // trees (same records, same options → identical content), so backups add
-  // no index memory.
-  std::shared_ptr<const storage::BPlusTree> clustered_b_;
-  std::shared_ptr<const storage::BPlusTree> nonclustered_a_;
   storage::PageLayout page_layout_;
   storage::Extent data_extent_;
   storage::Extent index_b_extent_;
@@ -286,13 +315,21 @@ class SystemCatalog {
   /// catalog's disks, after that catalog's extents — the relations contend
   /// for the same simulated spindles. The partitioning's slice count must
   /// equal the shared catalog's node count, and `placement` must be null.
+  ///
+  /// `trees` (a sweep builds one set per partitioning and passes it to
+  /// every point): the index trees to wire in. It must have been built from
+  /// exactly these relation, partitioning, attributes and
+  /// opts.index_fanout, else Build returns InvalidArgument. When null, the
+  /// catalog builds its own set. Either way the catalog keeps the set alive
+  /// and wires it through the same path.
   static Result<std::unique_ptr<SystemCatalog>> Build(
       const storage::Relation* relation,
       const decluster::Partitioning* partitioning, storage::AttrId attr_a,
       storage::AttrId attr_b, const hw::HwParams& hw,
       CatalogOptions opts = CatalogOptions(),
       const PlacementSpec* placement = nullptr,
-      SystemCatalog* share_disks_with = nullptr);
+      SystemCatalog* share_disks_with = nullptr,
+      std::shared_ptr<const CatalogTrees> trees = nullptr);
 
   /// Physical machine size (disk layouts). Equals num_slices() without a
   /// placement.
@@ -439,9 +476,10 @@ class SystemCatalog {
                           int dst_node, const storage::Extent& dst_extent,
                           std::vector<RebuildPage>* pages) const;
 
-  const storage::Relation* relation_ = nullptr;
-  const decluster::Partitioning* partitioning_ = nullptr;
   const decluster::BerdPartitioning* berd_ = nullptr;  // null unless BERD
+  // The index trees every store reads (possibly shared with other
+  // catalogs); declared before the stores that point into it.
+  std::shared_ptr<const CatalogTrees> trees_;
   std::vector<std::unique_ptr<FragmentStore>> stores_;
   // Disk layouts this catalog owns (empty when sharing another catalog's
   // disks) and the per-node view every code path indexes. Without sharing,
@@ -459,7 +497,8 @@ class SystemCatalog {
   CatalogOptions opts_;
   // Plan-construction scratch. Safe as a single mutable member: plan
   // building never suspends, and one Simulation (hence one catalog) is
-  // driven by one thread at a time.
+  // driven by one thread at a time. Catalogs are per System, so only the
+  // immutable trees are shared across threads.
   mutable PlanScratch scratch_;
 };
 

@@ -83,7 +83,9 @@ Status System::Init() {
   auto catalog = SystemCatalog::Build(relation_, partitioning_,
                                       config_.attr_a, config_.attr_b,
                                       config_.hw, catalog_opts,
-                                      placement_ptr);
+                                      placement_ptr,
+                                      /*share_disks_with=*/nullptr,
+                                      config_.trees);
   DECLUST_RETURN_NOT_OK(catalog.status());
   catalog_ = std::move(catalog).ValueOrDie();
   if (config_.resize != nullptr) {
@@ -101,7 +103,8 @@ Status System::Init() {
     auto extra = SystemCatalog::Build(er.relation, er.partitioning,
                                       config_.attr_a, config_.attr_b,
                                       config_.hw, catalog_opts,
-                                      /*placement=*/nullptr, catalog_.get());
+                                      /*placement=*/nullptr, catalog_.get(),
+                                      er.trees);
     DECLUST_RETURN_NOT_OK(extra.status());
     extra_catalogs_.push_back(std::move(extra).ValueOrDie());
     bindings_.push_back(

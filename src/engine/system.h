@@ -127,8 +127,15 @@ struct SystemConfig {
   struct ExtraRelation {
     const storage::Relation* relation = nullptr;
     const decluster::Partitioning* partitioning = nullptr;
+    /// Prebuilt index trees for this relation (see `trees` below).
+    std::shared_ptr<const CatalogTrees> trees = nullptr;
   };
   std::vector<ExtraRelation> extra_relations;
+  /// Optional prebuilt index trees of the base relation's partitioning. A
+  /// sweep builds one set per strategy and shares it read-only across its
+  /// points; Init() builds the catalog's own set when null. A set built
+  /// from other inputs makes Init() fail.
+  std::shared_ptr<const CatalogTrees> trees = nullptr;
 };
 
 /// \brief One simulated system instance bound to a Simulation.

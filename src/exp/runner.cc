@@ -55,8 +55,10 @@ Result<RepMetrics> RunSweepPointRep(
     const workload::Workload& workload,
     int mpl, int rep, obs::Probe* probe, std::string* metrics_json,
     audit::Auditor* auditor,
-    const std::vector<engine::SystemConfig::ExtraRelation>* extra_relations) {
+    const std::vector<engine::SystemConfig::ExtraRelation>* extra_relations,
+    std::shared_ptr<const engine::CatalogTrees> trees) {
   engine::SystemConfig sys_config;
+  sys_config.trees = std::move(trees);
   sys_config.hw.num_processors = config.num_processors;
   sys_config.multiprogramming_level = mpl;
   sys_config.seed = config.seed + static_cast<uint64_t>(mpl) * 1000 +
@@ -721,6 +723,43 @@ struct OpenInputs {
   std::vector<std::vector<engine::SystemConfig::ExtraRelation>> views;
 };
 
+/// One strategy's index-tree sets: the base relation's and, for an open
+/// run, each extra relation's. Built before the strategy's first
+/// replication and dropped after its last (a countdown, so it also holds
+/// under --jobs), so a serial sweep keeps one strategy's trees at a time.
+struct StrategyTrees {
+  std::once_flag built;
+  Status status;
+  std::shared_ptr<const engine::CatalogTrees> base;
+  /// The strategy's extra-relation views, each carrying its trees.
+  std::vector<engine::SystemConfig::ExtraRelation> extras;
+  std::atomic<size_t> jobs_left{0};
+};
+
+/// Builds `out`'s sets with the attributes and fanout RunSweepPointRep's
+/// catalogs use (a mismatch would fail their Build, never go unnoticed).
+Status BuildStrategyTrees(
+    const storage::Relation& relation,
+    const decluster::Partitioning& partitioning,
+    const std::vector<engine::SystemConfig::ExtraRelation>* extra_relations,
+    StrategyTrees* out) {
+  const engine::SystemConfig sys;
+  const auto build = [&](const storage::Relation* rel,
+                         const decluster::Partitioning* part) {
+    return engine::CatalogTrees::Build(rel, part, sys.attr_a, sys.attr_b,
+                                       sys.catalog.index_fanout,
+                                       sys.catalog.build_jobs);
+  };
+  DECLUST_ASSIGN_OR_RETURN(out->base, build(&relation, &partitioning));
+  if (extra_relations != nullptr) {
+    out->extras = *extra_relations;
+    for (auto& er : out->extras) {
+      DECLUST_ASSIGN_OR_RETURN(er.trees, build(er.relation, er.partitioning));
+    }
+  }
+  return Status::OK();
+}
+
 Result<OpenInputs> BuildOpenInputs(const ExperimentConfig& config,
                                    const workload::Workload& wl,
                                    int num_slices) {
@@ -831,20 +870,43 @@ Result<SweepResult> RunThroughputSweep(const ExperimentConfig& raw_config,
         .count();
   };
   std::vector<JobWatch> watches(num_jobs);
+  std::vector<StrategyTrees> strategy_trees(num_strategies);
+  for (StrategyTrees& t : strategy_trees) {
+    t.jobs_left = num_mpls * static_cast<size_t>(reps);
+  }
 
   const auto run_job = [&](size_t s, size_t m, int r) {
     const size_t idx = job_index(s, m, r);
+    StrategyTrees& trees = strategy_trees[s];
+    // The strategy's last replication (run or skipped) drops its trees.
+    const auto finish = [&] {
+      watches[idx].done.store(true, std::memory_order_relaxed);
+      if (trees.jobs_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        trees.base.reset();
+        trees.extras.clear();
+      }
+    };
     // Cooperative interrupt (SIGINT/SIGTERM via tools): stop launching
     // simulations; already-finished replications are kept and flushed.
     if (InterruptRequested()) {
       rep_skipped[idx] = 1;
-      watches[idx].done.store(true, std::memory_order_relaxed);
+      finish();
       return;
     }
     watches[idx].started_s.store(elapsed_s(), std::memory_order_relaxed);
     // A worker must never take the pool down: any escaped exception becomes
     // a Status and surfaces through the normal sweep-order error path.
     try {
+      std::call_once(trees.built, [&] {
+        trees.status = BuildStrategyTrees(
+            relation, *partitionings[s],
+            open_mode ? &open_inputs.views[s] : nullptr, &trees);
+      });
+      if (!trees.status.ok()) {
+        rep_status[idx] = trees.status;
+        finish();
+        return;
+      }
       // One probe per replication (a Probe is bound to one Simulation's
       // hardware and carries per-submit context, so it cannot be shared
       // across workers). No tracer: sweeps collect costs only. Audited
@@ -861,7 +923,7 @@ Result<SweepResult> RunThroughputSweep(const ExperimentConfig& raw_config,
           config, relation, *partitionings[s], wl, level_value(m), r,
           options.collect_components || options.audit ? &probe : nullptr,
           /*metrics_json=*/nullptr, auditor,
-          open_mode ? &open_inputs.views[s] : nullptr);
+          open_mode ? &trees.extras : nullptr, trees.base);
       if (res.ok()) {
         rep_metrics[idx] = *res;
       } else {
@@ -874,7 +936,7 @@ Result<SweepResult> RunThroughputSweep(const ExperimentConfig& raw_config,
       rep_status[idx] =
           Status::Internal("replication threw a non-standard exception");
     }
-    watches[idx].done.store(true, std::memory_order_relaxed);
+    finish();
   };
 
   std::mutex wd_mutex;

@@ -5,15 +5,18 @@
 // engine::System with an RNG seeded only by (config.seed, mpl, rep), and the
 // relation/partitionings/workload are shared strictly read-only — so each
 // point's measurements are bit-identical regardless of which thread runs it
-// or in what order. Results are assembled in sweep order afterwards, making
-// the full SweepResult byte-identical for any job count (verified by
-// tests/exp/runner_determinism_test).
+// or in what order. Each strategy's catalog index trees are built once and
+// shared read-only by its points the same way. Results are assembled in
+// sweep order afterwards, making the full SweepResult byte-identical for
+// any job count (verified by tests/exp/runner_determinism_test).
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "src/audit/audit.h"
 #include "src/audit/differential.h"
+#include "src/engine/catalog.h"
 #include "src/exp/experiment.h"
 #include "src/obs/probe.h"
 
@@ -134,7 +137,8 @@ struct RepMetrics {
 /// closed seed formula then keys on the level index instead).
 /// `extra_relations` (nullable; required non-null only when the open plan
 /// declares relations) supplies this strategy's shared read-only extra
-/// relations + partitionings for multi-relation open runs.
+/// relations + partitionings (and optionally their index trees) for
+/// multi-relation open runs.
 ///
 /// `probe` (nullable, caller-owned, must not be shared across concurrent
 /// calls) arms per-query cost attribution; if it carries a Tracer, the
@@ -144,6 +148,8 @@ struct RepMetrics {
 /// `auditor` (nullable, caller-owned, one per concurrent call like `probe`)
 /// is installed on the replication's Simulation and System; its end-of-run
 /// identities are finalized before the function returns.
+/// `trees` (nullable) is the partitioning's prebuilt index-tree set, shared
+/// read-only with the strategy's other points; null builds it per call.
 Result<RepMetrics> RunSweepPointRep(
     const ExperimentConfig& config, const storage::Relation& relation,
     const decluster::Partitioning& partitioning,
@@ -151,7 +157,8 @@ Result<RepMetrics> RunSweepPointRep(
     int mpl, int rep, obs::Probe* probe = nullptr,
     std::string* metrics_json = nullptr, audit::Auditor* auditor = nullptr,
     const std::vector<engine::SystemConfig::ExtraRelation>* extra_relations =
-        nullptr);
+        nullptr,
+    std::shared_ptr<const engine::CatalogTrees> trees = nullptr);
 
 /// Runs the full sweep with `options.jobs` workers. The serial path
 /// (jobs <= 1) and the parallel path share the same per-point and

@@ -4,17 +4,18 @@
 
 namespace declust::storage {
 
-Status Relation::Append(const std::vector<Value>& values) {
-  if (static_cast<int>(values.size()) != schema_.num_attributes()) {
-    return Status::InvalidArgument("tuple arity does not match schema");
+Status Relation::Append(const std::vector<Value>& stored_values) {
+  if (stored_values.size() != arity_) {
+    return Status::InvalidArgument(
+        "tuple arity does not match the schema's stored attributes");
   }
   const size_t r = static_cast<size_t>(cardinality_);
   if (r % kBlockRows == 0) {
-    blocks_.push_back(static_cast<Value*>(arena_->Allocate(
-        kBlockRows * arity_ * sizeof(Value), alignof(Value))));
+    blocks_.push_back(
+        std::make_unique_for_overwrite<Value[]>(kBlockRows * arity_));
   }
-  Value* row = blocks_.back() + (r % kBlockRows) * arity_;
-  std::copy(values.begin(), values.end(), row);
+  Value* row = blocks_.back().get() + (r % kBlockRows) * arity_;
+  std::copy(stored_values.begin(), stored_values.end(), row);
   ++cardinality_;
   return Status::OK();
 }

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/result.h"
 #include "src/storage/schema.h"
 #include "src/storage/types.h"
@@ -17,18 +16,19 @@ namespace declust::storage {
 ///
 /// RecordIds are dense indices 0..cardinality-1 and never change.
 ///
-/// Tuples live in arena-backed fixed-size blocks of `kBlockRows` rows laid
-/// out attribute-major within a row. A row-of-vectors representation costs
-/// ~70 bytes of heap overhead per tuple (vector header + malloc metadata),
-/// which at the 10M–100M cardinalities of open-system runs dwarfs the data
-/// itself; flat blocks store exactly arity * 8 bytes per tuple and never
-/// reallocate-and-copy while growing.
+/// Only the schema's stored attributes occupy memory: tuples live in
+/// fixed-size blocks of `kBlockRows` rows, laid out attribute-major within a
+/// row, exactly num_stored() * 8 bytes per tuple. A derived attribute is
+/// computed from its stored base on every read. A row-of-vectors
+/// representation would cost ~70 bytes of heap overhead per tuple (vector
+/// header + malloc metadata); blocks never reallocate-and-copy while
+/// growing.
 class Relation {
  public:
   Relation(std::string name, Schema schema)
       : name_(std::move(name)),
         schema_(std::move(schema)),
-        arity_(static_cast<size_t>(schema_.num_attributes())) {}
+        arity_(static_cast<size_t>(schema_.num_stored())) {}
 
   Relation(const Relation&) = delete;
   Relation& operator=(const Relation&) = delete;
@@ -39,13 +39,13 @@ class Relation {
   const Schema& schema() const { return schema_; }
   int64_t cardinality() const { return cardinality_; }
 
-  /// Appends a tuple; must have one value per schema attribute.
-  Status Append(const std::vector<Value>& values);
+  /// Appends a tuple; must have one value per stored schema attribute.
+  Status Append(const std::vector<Value>& stored_values);
 
   Value value(RecordId rid, AttrId attr) const {
-    const size_t r = static_cast<size_t>(rid);
-    return blocks_[r / kBlockRows]
-                  [(r % kBlockRows) * arity_ + static_cast<size_t>(attr)];
+    if (static_cast<size_t>(attr) < arity_) return Stored(rid, attr);
+    const Derivation& rule = schema_.derivation(attr);
+    return rule.Apply(Stored(rid, rule.base));
   }
 
   /// All record ids, in insertion order.
@@ -54,18 +54,25 @@ class Relation {
   /// Minimum and maximum of an attribute (relation must be non-empty).
   Result<std::pair<Value, Value>> AttrRange(AttrId attr) const;
 
-  /// Heap footprint of the tuple store (arena high-water mark).
-  size_t memory_bytes() const { return arena_->bytes_reserved(); }
+  /// Heap footprint of the tuple store: whole blocks, so at most one
+  /// partly filled block beyond num_stored() * 8 bytes per tuple.
+  size_t memory_bytes() const {
+    return blocks_.size() * kBlockRows * arity_ * sizeof(Value);
+  }
 
  private:
   static constexpr size_t kBlockRows = 4096;
 
+  Value Stored(RecordId rid, AttrId attr) const {
+    const size_t r = static_cast<size_t>(rid);
+    return blocks_[r / kBlockRows]
+                  [(r % kBlockRows) * arity_ + static_cast<size_t>(attr)];
+  }
+
   std::string name_;
   Schema schema_;
-  size_t arity_;
-  // Behind unique_ptr so Relation stays movable (Arena pins its chunks).
-  std::unique_ptr<Arena> arena_ = std::make_unique<Arena>();
-  std::vector<Value*> blocks_;
+  size_t arity_;  // stored attributes per tuple
+  std::vector<std::unique_ptr<Value[]>> blocks_;
   int64_t cardinality_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "src/workload/wisconsin.h"
 
 #include <cassert>
+#include <utility>
 #include <vector>
 
 #include "src/common/stats.h"
@@ -16,19 +17,27 @@ storage::Relation MakeWisconsin(const WisconsinOptions& options) {
   assert(options.cardinality > 0);
   assert(options.correlation >= 0.0 && options.correlation <= 1.0);
 
-  Schema schema({{"unique1"},
-                 {"unique2"},
-                 {"two"},
-                 {"four"},
-                 {"ten"},
-                 {"twenty"},
-                 {"onePercent"},
-                 {"tenPercent"},
-                 {"twentyPercent"},
-                 {"fiftyPercent"},
-                 {"unique3"},
-                 {"evenOnePercent"},
-                 {"oddOnePercent"}});
+  // unique1 and unique2 are stored; the other eleven attributes are
+  // computed from unique1 on read.
+  Schema schema({{"unique1"}, {"unique2"}});
+  constexpr storage::AttrId u1 = WisconsinAttrs::kUnique1;
+  const std::pair<const char*, storage::Derivation> derived[] = {
+      {"two", {u1, 2, 1, 0}},
+      {"four", {u1, 4, 1, 0}},
+      {"ten", {u1, 10, 1, 0}},
+      {"twenty", {u1, 20, 1, 0}},
+      {"onePercent", {u1, 100, 1, 0}},
+      {"tenPercent", {u1, 10, 1, 0}},
+      {"twentyPercent", {u1, 5, 1, 0}},
+      {"fiftyPercent", {u1, 2, 1, 0}},
+      {"unique3", {u1, 0, 1, 0}},
+      {"evenOnePercent", {u1, 100, 2, 0}},
+      {"oddOnePercent", {u1, 100, 2, 1}},
+  };
+  for (const auto& [name, rule] : derived) {
+    [[maybe_unused]] const Status st = schema.AddDerived(name, rule);
+    assert(st.ok());
+  }
   Relation rel("wisconsin", std::move(schema));
 
   RandomStream rng(options.seed);
@@ -59,25 +68,11 @@ storage::Relation MakeWisconsin(const WisconsinOptions& options) {
     }
   }
 
-  for (int64_t i = 0; i < n; ++i) {
-    const Value u1 = unique1[static_cast<size_t>(i)];
-    const Value u2 = unique2[static_cast<size_t>(i)];
-    const Value one_percent = u1 % 100;
-    [[maybe_unused]] Status st = rel.Append({
-        u1,
-        u2,
-        u1 % 2,
-        u1 % 4,
-        u1 % 10,
-        u1 % 20,
-        one_percent,
-        u1 % 10,
-        u1 % 5,
-        u1 % 2,
-        u1,
-        one_percent * 2,
-        one_percent * 2 + 1,
-    });
+  std::vector<Value> row(2);
+  for (size_t i = 0; i < static_cast<size_t>(n); ++i) {
+    row[0] = unique1[i];
+    row[1] = unique2[i];
+    [[maybe_unused]] const Status st = rel.Append(row);
     assert(st.ok());
   }
   return rel;

@@ -75,6 +75,24 @@ TEST(OpenSweepTest, ValidationRejectsBadOpenConfigs) {
   EXPECT_TRUE(ValidateExperimentConfig(cfg).ok());
 }
 
+TEST(OpenSweepTest, OpenCombinesWithResizeButNotWithRecovery) {
+  // What run_experiment --help promises for --open: only --recovery is
+  // incompatible.
+  ExperimentConfig cfg = SmallConfig();
+  cfg.open = "rate:50";
+  cfg.resize = "add:node8@t=1s;remove:node8@t=2s";
+  EXPECT_TRUE(ValidateExperimentConfig(cfg).ok());
+  cfg.resize.clear();
+  cfg.faults = "disk:node2@t=800ms";
+  cfg.recovery = "repair:node2@t=1400ms";
+  const Status st = ValidateExperimentConfig(cfg);
+  EXPECT_TRUE(st.IsInvalidArgument());
+  EXPECT_NE(st.message().find(
+                "an open-system spec cannot combine with a recovery spec"),
+            std::string::npos)
+      << st.ToString();
+}
+
 TEST(OpenSweepTest, ClosedRunKeepsThePreOpenFormat) {
   RunnerOptions opts;
   opts.jobs = 1;

@@ -3,7 +3,8 @@
 // figure-8-style engine run is warmed up past its pool-population phase,
 // and the measurement segment must then dispatch tens of thousands of
 // events with ZERO heap allocations. The same counters track live heap
-// bytes, which bound what one in-flight data site costs.
+// bytes, which bound what one in-flight data site costs and what a serial
+// sweep peaks at.
 //
 // The override counts every allocation in the process, so this test must
 // not run in the same binary as unrelated tests that allocate from other
@@ -23,6 +24,7 @@
 #include "src/common/arena.h"
 #include "src/engine/system.h"
 #include "src/exp/experiment.h"
+#include "src/exp/runner.h"
 #include "src/sim/simulation.h"
 #include "src/workload/mixes.h"
 #include "src/workload/open.h"
@@ -256,6 +258,36 @@ TEST(AllocCountTest, ParkedDataSiteCostsAtMostTwoKiB) {
   EXPECT_LE(per_site, 2'048.0)
       << peak_extra << " heap bytes over the warm system for " << peak_parked
       << " parked data sites";
+}
+
+TEST(AllocCountTest, SerialSweepPeakHeapStaysBelowPerPointTreeBuilds) {
+  // A serial 3-strategy sweep at 100k tuples on 32 processors. When every
+  // point built its own trees and the relation stored all thirteen
+  // Wisconsin attributes, this sweep peaked at kPerPointBuildPeak live heap
+  // bytes over the idle process (GCC 12, glibc malloc_usable_size). Storing
+  // only unique1 and unique2 drops eleven 8-byte columns, so the peak must
+  // now sit at least that far below it (it measures ~17.4 MB). Keeping every
+  // strategy's trees alive at once measured 25.6 MB, and storing the
+  // derived attributes again would give the columns back: both fail here.
+  constexpr int64_t kPerPointBuildPeak = 29'435'856;
+  constexpr int64_t kTuples = 100'000;
+  constexpr int64_t kDerivedColumnBytes = 11 * 8 * kTuples;
+  exp::ExperimentConfig cfg;
+  cfg.strategies = {"range", "BERD", "MAGIC"};
+  cfg.cardinality = kTuples;
+  cfg.correlation = 1.0;
+  cfg.num_processors = 32;
+  cfg.mpls = {1, 8};
+  cfg.warmup_ms = 200;
+  cfg.measure_ms = 500;
+  const int64_t baseline = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_live_bytes.store(baseline, std::memory_order_relaxed);
+  auto result = exp::RunThroughputSweep(cfg, exp::RunnerOptions{.jobs = 1});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const int64_t peak =
+      g_peak_live_bytes.load(std::memory_order_relaxed) - baseline;
+  EXPECT_LE(peak, kPerPointBuildPeak - kDerivedColumnBytes)
+      << peak << " peak live heap bytes";
 }
 
 }  // namespace

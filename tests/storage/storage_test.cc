@@ -23,6 +23,56 @@ TEST(SchemaTest, AttrIndexLookup) {
   EXPECT_FALSE(s.HasAttribute("unique3"));
 }
 
+TEST(SchemaTest, DerivedAttributesFollowTheStoredOnes) {
+  Schema s = TwoAttrSchema();
+  ASSERT_TRUE(s.AddDerived("u1mod7", {0, 7, 1, 0}).ok());
+  ASSERT_TRUE(s.AddDerived("u2copy", {1, 0, 1, 0}).ok());
+  ASSERT_TRUE(s.AddDerived("odd", {0, 100, 2, 1}).ok());
+  EXPECT_EQ(s.num_attributes(), 5);
+  EXPECT_EQ(s.num_stored(), 2);
+  EXPECT_EQ(*s.AttrIndex("u1mod7"), 2);
+  EXPECT_EQ(*s.AttrIndex("odd"), 4);
+  EXPECT_EQ(s.derivation(4).base, 0);
+  EXPECT_EQ(s.derivation(4).Apply(1234), 69);
+  EXPECT_EQ(s.derivation(3).Apply(-5), -5);  // modulus 0: the base itself
+}
+
+TEST(SchemaTest, BadDerivationsAreStatuses) {
+  Schema s = TwoAttrSchema();
+  // Base out of range, either side.
+  EXPECT_TRUE(s.AddDerived("neg", {-1, 2, 1, 0}).IsOutOfRange());
+  EXPECT_TRUE(s.AddDerived("past", {2, 2, 1, 0}).IsOutOfRange());
+  ASSERT_TRUE(s.AddDerived("half", {0, 2, 1, 0}).ok());
+  // A derived base: derivations do not chain.
+  const Status chained = s.AddDerived("quarter", {2, 2, 1, 0});
+  EXPECT_TRUE(chained.IsInvalidArgument());
+  EXPECT_NE(chained.message().find("half"), std::string::npos)
+      << chained.ToString();
+  EXPECT_TRUE(s.AddDerived("negmod", {0, -3, 1, 0}).IsInvalidArgument());
+  // Refused attributes leave the schema as it was.
+  EXPECT_EQ(s.num_attributes(), 3);
+  EXPECT_FALSE(s.HasAttribute("quarter"));
+}
+
+TEST(RelationTest, DerivedAttributesAreComputedNotStored) {
+  Schema s = TwoAttrSchema();
+  ASSERT_TRUE(s.AddDerived("u1mod3", {0, 3, 10, 1}).ok());
+  Relation r("R", std::move(s));
+  // Append takes the stored values only.
+  EXPECT_TRUE(r.Append({1, 2, 3}).IsInvalidArgument());
+  ASSERT_TRUE(r.Append({7, 40}).ok());
+  ASSERT_TRUE(r.Append({9, 41}).ok());
+  EXPECT_EQ(r.value(0, 2), (7 % 3) * 10 + 1);
+  EXPECT_EQ(r.value(1, 2), 1);
+  EXPECT_EQ(r.value(1, 1), 41);
+  auto range = r.AttrRange(2);
+  ASSERT_TRUE(range.ok());
+  EXPECT_EQ(range->first, 1);
+  EXPECT_EQ(range->second, 11);
+  // One block of two stored columns, nothing for the derived one.
+  EXPECT_EQ(r.memory_bytes(), 4096u * 2 * sizeof(Value));
+}
+
 TEST(RelationTest, AppendAndRead) {
   Relation r("R", TwoAttrSchema());
   ASSERT_TRUE(r.Append({10, 20}).ok());

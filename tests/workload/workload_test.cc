@@ -93,6 +93,52 @@ TEST(WisconsinTest, DerivedAttributesFollowUnique1) {
     EXPECT_EQ(rel.value(rid, two), u1 % 2);
     EXPECT_EQ(rel.value(rid, one_percent), u1 % 100);
   }
+  // Every one of the eleven derived attributes, by name, against the
+  // Wisconsin formula over unique1.
+  const struct {
+    const char* name;
+    int64_t (*formula)(int64_t);
+  } kDerived[] = {
+      {"two", [](int64_t u) { return u % 2; }},
+      {"four", [](int64_t u) { return u % 4; }},
+      {"ten", [](int64_t u) { return u % 10; }},
+      {"twenty", [](int64_t u) { return u % 20; }},
+      {"onePercent", [](int64_t u) { return u % 100; }},
+      {"tenPercent", [](int64_t u) { return u % 10; }},
+      {"twentyPercent", [](int64_t u) { return u % 5; }},
+      {"fiftyPercent", [](int64_t u) { return u % 2; }},
+      {"unique3", [](int64_t u) { return u; }},
+      {"evenOnePercent", [](int64_t u) { return (u % 100) * 2; }},
+      {"oddOnePercent", [](int64_t u) { return (u % 100) * 2 + 1; }},
+  };
+  ASSERT_EQ(rel.schema().num_attributes(), 2 + 11);
+  for (const auto& d : kDerived) {
+    const auto attr = rel.schema().AttrIndex(d.name);
+    ASSERT_TRUE(attr.ok()) << d.name;
+    EXPECT_GE(*attr, rel.schema().num_stored()) << d.name;
+    for (int64_t i = 0; i < rel.cardinality(); ++i) {
+      const auto rid = static_cast<storage::RecordId>(i);
+      EXPECT_EQ(rel.value(rid, *attr),
+                d.formula(rel.value(rid, WisconsinAttrs::kUnique1)))
+          << d.name << " rid " << i;
+    }
+  }
+}
+
+TEST(WisconsinTest, StoresOnlyUnique1AndUnique2) {
+  // Two stored int64 columns: 16 bytes per tuple plus at most one partly
+  // filled block (4,096 rows of two values).
+  constexpr int64_t kBlockBytes = 4096 * 16;
+  for (const int64_t n : {int64_t{1}, int64_t{4096}, int64_t{4097},
+                          int64_t{100'000}, int64_t{500'000}}) {
+    WisconsinOptions o;
+    o.cardinality = n;
+    const auto rel = MakeWisconsin(o);
+    EXPECT_EQ(rel.schema().num_stored(), 2);
+    EXPECT_LE(static_cast<int64_t>(rel.memory_bytes()), 16 * n + kBlockBytes)
+        << "N=" << n;
+    EXPECT_GE(static_cast<int64_t>(rel.memory_bytes()), 16 * n) << "N=" << n;
+  }
 }
 
 TEST(MixesTest, PaperMixDefinitions) {

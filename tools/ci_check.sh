@@ -10,15 +10,20 @@
 # tasks, channels and resources; the CPU, disk and network models with the
 # network's delivery sinks) covers the frame lifetimes every layer above
 # rests on; under ASan the FrameCache passes each frame through the heap.
-# The setup label (grid file, declustering and rebalancer, catalog indexes)
-# covers the index arithmetic of the partitioning path.
+# The setup label (relations and their derived attributes, B+-trees, the
+# Wisconsin generator, grid file, declustering and rebalancer, shared index
+# tree sets and catalog indexes) covers the index arithmetic of the
+# partitioning path.
 #
 # A third pass builds under ThreadSanitizer and runs the tests that drive
-# real threads (the thread pool, the runner's parallel sweeps and the jobs=4
-# identity cases of the recovery, resize, open and control sweeps), then a
-# Release build runs a differential smoke: the same quick sweeps — one of
-# them rebuilding a failed disk while slices migrate — serially and with
-# --jobs 4 must produce byte-identical output.
+# real threads (the thread pool, the runner's parallel sweeps — whose
+# workers read one strategy's shared index trees concurrently — and the
+# jobs=4 identity cases of the recovery, resize, open and control sweeps),
+# then a Release build runs a differential smoke: the same quick sweeps —
+# one of them rebuilding a failed disk while slices migrate — serially and
+# with --jobs 4 must produce byte-identical output. Before any build, a lint
+# rejects ASCII control bytes other than tab and newline in the tracked
+# files under src/, tests/, tools/, examples/ and bench/.
 #
 #   tools/ci_check.sh [--jobs N] [--fresh]
 #
@@ -37,12 +42,27 @@ while [[ $# -gt 0 ]]; do
     --jobs=*) JOBS="${1#*=}"; shift ;;
     --fresh) FRESH=1; shift ;;
     -h|--help)
-      sed -n '2,27p' "$0"; exit 0 ;;
+      sed -n '2,32p' "$0"; exit 0 ;;
     *) echo "unknown option: $1" >&2; exit 2 ;;
   esac
 done
 
 FAILED=0
+
+# Lint: no ASCII control bytes other than tab and newline in tracked source
+# files (a stray backspace once replaced the '\b' of a doc comment's
+# "\brief").
+echo "=== lint: control bytes in src/ tests/ tools/ examples/ bench/ ==="
+CONTROL_BYTES="$(git -C "$ROOT" ls-files -z -- src tests tools examples bench \
+  | (cd "$ROOT" && xargs -0 env LC_ALL=C \
+       grep -nP '[\x00-\x08\x0b-\x1f\x7f]' || true))"
+if [[ -n "$CONTROL_BYTES" ]]; then
+  printf '%s\n' "$CONTROL_BYTES" | cat -v >&2
+  echo "*** lint: FAILED — control bytes in the lines above" >&2
+  FAILED=1
+else
+  echo "lint: no control bytes"
+fi
 
 run_preset() {
   local name="$1" flag="$2" labels="$3"
@@ -69,12 +89,14 @@ run_preset() {
 # Release-only test self-skips there and runs in the relsmoke tree below).
 run_preset asan DECLUST_ASAN \
   'kernel|setup|faults|audit|recovery|resize|open|control|scale' \
-  sim_test hw_test grid_test decluster_test engine_test fault_test \
-  audit_test recovery_test resize_test open_test control_test scale_test
+  sim_test hw_test storage_test workload_test grid_test decluster_test \
+  engine_test fault_test audit_test recovery_test resize_test open_test \
+  control_test scale_test
 run_preset ubsan DECLUST_UBSAN \
   'kernel|setup|faults|audit|recovery|resize|open|control' \
-  sim_test hw_test grid_test decluster_test engine_test fault_test \
-  audit_test recovery_test resize_test open_test control_test
+  sim_test hw_test storage_test workload_test grid_test decluster_test \
+  engine_test fault_test audit_test recovery_test resize_test open_test \
+  control_test
 # Threads enter through the ThreadPool: --jobs runs sweep replications side
 # by side, each on its own Simulation. TSAN covers the pool itself and the
 # runner's determinism tests (the threads label), plus the jobs=4 identity
@@ -169,6 +191,7 @@ if [[ "$FAILED" != 0 ]]; then
   echo "ci_check: sanitizer gate FAILED" >&2
   exit 1
 fi
-echo "ci_check: kernel|setup|faults|audit|recovery|resize|open|control|scale clean" \
+echo "ci_check: no control bytes," \
+  "kernel|setup|faults|audit|recovery|resize|open|control|scale clean" \
   "under ASAN/UBSAN, threads|recovery|resize|open|control clean under TSAN," \
   "serial vs --jobs 4 release digest stable (rebuild-plus-resize included)"

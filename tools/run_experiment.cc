@@ -73,7 +73,7 @@ void Usage() {
       "                     cap; excess arrivals are shed). Replaces the\n"
       "                     closed terminals with Poisson/burst arrivals;\n"
       "                     --mpls is ignored, the sweep levels come from\n"
-      "                     --offered. Incompatible with --recovery/--resize\n"
+      "                     --offered. Incompatible with --recovery\n"
       "  --control SPEC     closed-loop control plan, ';'-separated items:\n"
       "                     slo:pQQ<Bms[,every=D][,settle=K][,cooldown=C]\n"
       "                     [,low=L] (QQ one of 50/95/99) |\n"
