@@ -4,6 +4,7 @@
 // event-population sizes).
 #include <benchmark/benchmark.h>
 
+#include <random>
 #include <vector>
 
 #include "src/common/arena.h"
@@ -211,13 +212,12 @@ void BM_ArenaScratch_Heap(benchmark::State& state) {
 BENCHMARK(BM_ArenaScratch_Heap);
 
 // ---------------------------------------------------------------------------
-// Ablation: batched (bucketed) insertion vs single-event insertion in the
-// real calendar. Tie-heavy scheduling — many events sharing each timestamp,
-// the dominant shape in the engine (all disks completing within the same
-// service quantum) — takes the O(1) bucket-append path; fully scattered
-// timestamps force a fresh bucket per event, the degenerate single-insert
-// path. Same population, same callbacks; the per-event gap is what the
-// bucketing buys.
+// Ablation: tie-heavy vs fully scattered insertion into the real calendar.
+// Tie-heavy scheduling — many events sharing each timestamp, the dominant
+// shape in the engine (all disks completing within the same service
+// quantum) — appends each tie to the sorted window; fully scattered
+// timestamps give every event its own instant. Same population, same
+// callbacks.
 // ---------------------------------------------------------------------------
 
 void BM_CalendarInsert_TieHeavy(benchmark::State& state) {
@@ -226,8 +226,8 @@ void BM_CalendarInsert_TieHeavy(benchmark::State& state) {
     sim::Simulation s;
     int fired = 0;
     // 16 distinct timestamps, ties scheduled consecutively (a device model
-    // posting a burst of completions for one instant): every tie after the
-    // first is an O(1) append into the cached future bucket.
+    // posting a burst of completions for one instant): every tie is an O(1)
+    // append at the window's latest instant.
     const int run_len = population / 16;
     for (int i = 0; i < population; ++i) {
       s.ScheduleAt(static_cast<double>(i / run_len), [&fired] { ++fired; });
@@ -244,8 +244,7 @@ void BM_CalendarInsert_Scattered(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation s;
     int fired = 0;
-    // Every event gets its own timestamp: no batching is possible and each
-    // insertion pays the full ordered-bucket cost.
+    // Every event gets its own timestamp, each later than the last.
     for (int i = 0; i < population; ++i) {
       s.ScheduleAt(static_cast<double>(i), [&fired] { ++fired; });
     }
@@ -255,6 +254,105 @@ void BM_CalendarInsert_Scattered(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * population);
 }
 BENCHMARK(BM_CalendarInsert_Scattered)->Arg(10000)->Arg(100000);
+
+// ---------------------------------------------------------------------------
+// The calendar at the real mix: the depth and timestamp shape of a figure-8
+// sweep (sim.peak_pending 114) and of the open_skew workload (559). Half of
+// all schedules are same-instant resumes (resource grants, trigger fires);
+// the rest draw their delay from the figure-8 mix, where 72% fall in
+// 0.25-2 ms (CPU bursts, messages) and 26% in 4-32 ms (disk services). A
+// sixteenth of the pending events are device timers that running processes
+// preempt DMA-style: cancel the pending completion and re-arm it later.
+// ---------------------------------------------------------------------------
+
+struct RealMix {
+  sim::Simulation* s = nullptr;
+  std::vector<double> delays;    // 0 = same instant
+  std::vector<sim::EventId> timers;
+  size_t next = 0;
+  int live_procs = 0;
+
+  double Draw() { return delays[next++ & (delays.size() - 1)]; }
+
+  void ArmTimer(size_t i, double dt) {
+    timers[i] = s->ScheduleAfter(dt, [this, i] {
+      if (live_procs > 0) ArmTimer(i, Draw() + 0.25);
+    });
+  }
+};
+
+std::vector<double> RealMixDelays() {
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<double> delays(1 << 14);
+  for (double& d : delays) {
+    const double r = u(rng);
+    const double x = u(rng);
+    if (r < 0.50) {
+      d = 0.0;
+    } else if (r < 0.50 + 0.50 * 0.72) {
+      d = 0.25 + 1.75 * x;
+    } else if (r < 0.50 + 0.50 * 0.98) {
+      d = 4.0 + 28.0 * x;
+    } else {
+      d = 2.0 + 2.0 * x;
+    }
+  }
+  return delays;
+}
+
+struct YieldNow {
+  sim::Simulation* s;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    s->ScheduleResume(s->now(), h);
+  }
+  void await_resume() const noexcept {}
+};
+
+sim::Task<> RealMixProc(RealMix* m, int hops) {
+  for (int i = 0; i < hops; ++i) {
+    const double dt = m->Draw();
+    if (dt == 0.0) {
+      co_await YieldNow{m->s};
+    } else {
+      co_await m->s->WaitFor(dt);
+    }
+    if ((i & 7) == 3 && !m->timers.empty()) {
+      const size_t t = m->next % m->timers.size();
+      if (m->s->Cancel(m->timers[t])) m->ArmTimer(t, 0.1 + m->Draw());
+    }
+  }
+  --m->live_procs;
+}
+
+void BM_CalendarRealMix(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  const int num_timers = depth / 16;
+  const int procs = depth - num_timers;
+  const int hops = 400'000 / depth;
+  const std::vector<double> delays = RealMixDelays();
+  uint64_t events = 0;
+  size_t peak = 0;
+  for (auto _ : state) {
+    sim::Simulation s;
+    RealMix m;
+    m.s = &s;
+    m.delays = delays;
+    m.timers.resize(static_cast<size_t>(num_timers));
+    m.live_procs = procs;
+    for (int i = 0; i < num_timers; ++i) {
+      m.ArmTimer(static_cast<size_t>(i), m.Draw() + 0.25);
+    }
+    for (int i = 0; i < procs; ++i) s.Spawn(RealMixProc(&m, hops));
+    s.Run();
+    events += s.events_dispatched();
+    peak = s.peak_pending_events();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+  state.counters["peak_pending"] = static_cast<double>(peak);
+}
+BENCHMARK(BM_CalendarRealMix)->Arg(114)->Arg(559);
 
 }  // namespace
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <string>
 
 namespace declust::decluster {
 
@@ -13,6 +14,11 @@ Result<std::unique_ptr<MagicPartitioning>> MagicPartitioning::Create(
     const workload::Workload& workload, int num_nodes, MagicOptions options) {
   const int k = static_cast<int>(schema_attrs.size());
   if (k < 1) return Status::InvalidArgument("no partitioning attributes");
+  if (k > grid::GridFile::kMaxDims) {
+    return Status::InvalidArgument("more than " +
+                                   std::to_string(grid::GridFile::kMaxDims) +
+                                   " partitioning attributes");
+  }
   if (num_nodes < 1) return Status::InvalidArgument("num_nodes < 1");
   if (relation.cardinality() == 0) {
     return Status::FailedPrecondition("empty relation");
@@ -132,18 +138,11 @@ Result<std::unique_ptr<MagicPartitioning>> MagicPartitioning::Create(
 
 int MagicPartitioning::NodesForPredicate(
     const Predicate& q, const std::vector<int>& cell_nodes) const {
-  const int k = grid_->num_dims();
-  std::vector<Value> lo(static_cast<size_t>(k),
-                        std::numeric_limits<Value>::min());
-  std::vector<Value> hi(static_cast<size_t>(k),
-                        std::numeric_limits<Value>::max());
-  lo[static_cast<size_t>(q.attr)] = q.lo;
-  hi[static_cast<size_t>(q.attr)] = q.hi;
   std::vector<int> nodes;
-  for (int64_t cell : grid_->CellsOverlapping(lo, hi)) {
-    if (cell_weights_[static_cast<size_t>(cell)] == 0) continue;
+  ForEachCellOfPredicate(q, [&](int64_t cell) {
+    if (cell_weights_[static_cast<size_t>(cell)] == 0) return;
     nodes.push_back(cell_nodes[static_cast<size_t>(cell)]);
-  }
+  });
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
   return static_cast<int>(nodes.size());
@@ -195,23 +194,15 @@ double MagicPartitioning::ScoreAssignment(
 
 void MagicPartitioning::SitesForInto(const Predicate& q,
                                      PlanSites* out) const {
-  const int k = grid_->num_dims();
-  std::vector<Value> lo(static_cast<size_t>(k),
-                        std::numeric_limits<Value>::min());
-  std::vector<Value> hi(static_cast<size_t>(k),
-                        std::numeric_limits<Value>::max());
-  lo[static_cast<size_t>(q.attr)] = q.lo;
-  hi[static_cast<size_t>(q.attr)] = q.hi;
-
   out->clear();
   std::vector<int>& nodes = out->data_nodes;
-  for (int64_t cell : grid_->CellsOverlapping(lo, hi)) {
+  ForEachCellOfPredicate(q, [&](int64_t cell) {
     // The optimizer skips empty fragments: the grid directory records the
     // cardinality of every fragment, so a processor holding only empty
     // entries of the predicate's region is never contacted (section 4).
-    if (cell_weights_[static_cast<size_t>(cell)] == 0) continue;
+    if (cell_weights_[static_cast<size_t>(cell)] == 0) return;
     nodes.push_back(cell_nodes_[static_cast<size_t>(cell)]);
-  }
+  });
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
 }

@@ -4,7 +4,10 @@
 // attribute correlation.
 #pragma once
 
+#include <array>
+#include <limits>
 #include <memory>
+#include <utility>
 
 #include "src/decluster/assignment.h"
 #include "src/decluster/magic_planner.h"
@@ -75,6 +78,20 @@ class MagicPartitioning : public Partitioning {
   // candidate assignment.
   int NodesForPredicate(const Predicate& q,
                         const std::vector<int>& cell_nodes) const;
+  // Calls fn(cell) for each directory cell the predicate's box overlaps:
+  // its range on q.attr, the whole domain on every other dimension.
+  template <typename Fn>
+  void ForEachCellOfPredicate(const Predicate& q, Fn&& fn) const {
+    const auto k = static_cast<size_t>(grid_->num_dims());
+    std::array<Value, grid::GridFile::kMaxDims> lo;
+    std::array<Value, grid::GridFile::kMaxDims> hi;
+    lo.fill(std::numeric_limits<Value>::min());
+    hi.fill(std::numeric_limits<Value>::max());
+    lo[static_cast<size_t>(q.attr)] = q.lo;
+    hi[static_cast<size_t>(q.attr)] = q.hi;
+    grid_->ForEachCellOverlapping({lo.data(), k}, {hi.data(), k},
+                                  std::forward<Fn>(fn));
+  }
 
   std::string name_ = "MAGIC";
   MagicPlan plan_;

@@ -13,7 +13,7 @@ GridFile::GridFile(int num_dims, GridFileOptions options)
       opts_(std::move(options)),
       scales_(static_cast<size_t>(num_dims)),
       dir_(num_dims) {
-  assert(num_dims >= 1);
+  assert(num_dims >= 1 && num_dims <= kMaxDims);
   assert(opts_.bucket_capacity >= 2);
   if (opts_.split_weights.empty()) {
     opts_.split_weights.assign(static_cast<size_t>(num_dims), 1.0);
@@ -268,28 +268,7 @@ std::vector<RecordId> GridFile::PointSearch(
 std::vector<int64_t> GridFile::CellsOverlapping(
     const std::vector<Value>& lo, const std::vector<Value>& hi) const {
   std::vector<int64_t> out;
-  std::vector<int> first(static_cast<size_t>(k_)), last(static_cast<size_t>(k_));
-  for (int d = 0; d < k_; ++d) {
-    const auto du = static_cast<size_t>(d);
-    if (lo[du] > hi[du]) return out;
-    auto [a, z] = scales_[du].SlicesOverlapping(lo[du], hi[du]);
-    first[du] = a;
-    last[du] = z;
-  }
-  std::vector<int> coords = first;
-  for (;;) {
-    out.push_back(dir_.CellIndex(coords));
-    int j = k_ - 1;
-    for (; j >= 0; --j) {
-      const auto ju = static_cast<size_t>(j);
-      if (coords[ju] < last[ju]) {
-        ++coords[ju];
-        break;
-      }
-      coords[ju] = first[ju];
-    }
-    if (j < 0) break;
-  }
+  ForEachCellOverlapping(lo, hi, [&out](int64_t cell) { out.push_back(cell); });
   return out;
 }
 

@@ -7,9 +7,11 @@
 // policy weights = the Fraction_Splits of equation 4.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/result.h"
@@ -66,6 +68,10 @@ struct GridFileOptions {
 /// bucket.
 class GridFile {
  public:
+  /// Largest supported dimensionality (the box walk keeps per-dimension
+  /// state in fixed arrays).
+  static constexpr int kMaxDims = 8;
+
   GridFile(int num_dims, GridFileOptions options);
 
   int num_dims() const { return k_; }
@@ -93,6 +99,36 @@ class GridFile {
   /// Linear cell indices overlapping the box [lo[d], hi[d]] (inclusive).
   std::vector<int64_t> CellsOverlapping(const std::vector<Value>& lo,
                                         const std::vector<Value>& hi) const;
+
+  /// Calls fn(cell) for each linear cell index overlapping the box
+  /// [lo[d], hi[d]] (inclusive), in CellsOverlapping's order (increasing).
+  /// Allocation-free: one binary search of each linear scale, then an
+  /// odometer over the slice ranges in fixed per-dimension arrays.
+  template <typename Fn>
+  void ForEachCellOverlapping(std::span<const Value> lo,
+                              std::span<const Value> hi, Fn&& fn) const {
+    const auto k = static_cast<size_t>(k_);
+    std::array<int, kMaxDims> first{};
+    std::array<int, kMaxDims> last{};
+    for (size_t d = 0; d < k; ++d) {
+      if (lo[d] > hi[d]) return;
+      std::tie(first[d], last[d]) = scales_[d].SlicesOverlapping(lo[d], hi[d]);
+    }
+    const std::vector<int>& extent = dir_.dims();
+    std::array<int, kMaxDims> coords = first;
+    for (;;) {
+      int64_t cell = 0;
+      for (size_t d = 0; d < k; ++d) cell = cell * extent[d] + coords[d];
+      fn(cell);
+      size_t j = k;
+      while (j > 0 && coords[j - 1] == last[j - 1]) {
+        --j;
+        coords[j] = first[j];
+      }
+      if (j == 0) return;
+      ++coords[j - 1];
+    }
+  }
 
   /// Entries whose point lies exactly in the given cell.
   std::vector<GridEntry> EntriesInCell(int64_t cell_index) const;

@@ -1,5 +1,7 @@
 #include "src/sim/simulation.h"
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
 
 namespace declust::sim {
@@ -28,22 +30,14 @@ Simulation::~Simulation() {
   // Destroy still-suspended detached processes in spawn order. Destroying a
   // frame runs the destructors of its locals (e.g. resource guards);
   // draining_ suppresses any wake-ups those destructors would otherwise
-  // schedule.
+  // schedule. Pending callback events are destroyed by the slots_ vector's
+  // destructor (SmallFn releases inline or heap-held callables either way);
+  // the calendar tiers hold plain words.
   detail::PromiseBase* p = detached_head_;
   while (p != nullptr) {
     detail::PromiseBase* next = p->det_next;
     p->self.destroy();
     p = next;
-  }
-  // Pending callback events are destroyed by the slots_ vector's destructor
-  // (SmallFn releases inline or heap-held callables either way). Buckets
-  // are plain storage: free the live ones, then the recycled pool.
-  for (const HeapEnt& e : heap_) delete e.bucket;
-  delete current_;
-  while (bucket_free_ != nullptr) {
-    Bucket* next = bucket_free_->next_free;
-    delete bucket_free_;
-    bucket_free_ = next;
   }
 }
 
@@ -65,7 +59,7 @@ uint32_t Simulation::AllocSlot() {
     free_head_ = slots_[idx].next_free;
     return idx;
   }
-  assert(slots_.size() < kNoSlot);
+  assert(slots_.size() < kMaxSlots);
   slots_.emplace_back();
   return static_cast<uint32_t>(slots_.size() - 1);
 }
@@ -80,92 +74,91 @@ void Simulation::FreeSlot(uint32_t idx) {
   free_head_ = idx;
 }
 
-Simulation::Bucket* Simulation::AllocBucket(SimTime at, uint64_t first_seq) {
-  Bucket* b;
-  if (bucket_free_ != nullptr) {
-    b = bucket_free_;
-    bucket_free_ = b->next_free;
+bool Simulation::Later(const FarRec& a, const FarRec& b) {
+  return a.time > b.time || (a.time == b.time && a.seq > b.seq);
+}
+
+void Simulation::FarPush(SimTime at, Entry e) {
+  far_.push_back(FarRec{at, far_seq_++, e});
+  std::push_heap(far_.begin(), far_.end(), Later);
+}
+
+void Simulation::RecenterWindow() {
+  const size_t n = win_hi_ - win_lo_;
+  Timed* live = window_.get() + win_lo_;
+  if (window_cap_ < 2 * n + 64) {
+    // Uninitialised: only the live range is ever read.
+    window_cap_ = 4 * n + 64;
+    auto grown = std::make_unique_for_overwrite<Timed[]>(window_cap_);
+    win_lo_ = (window_cap_ - n) / 2;
+    std::copy(live, live + n, grown.get() + win_lo_);
+    window_ = std::move(grown);
   } else {
-    b = new Bucket();
+    win_lo_ = (window_cap_ - n) / 2;
+    std::memmove(window_.get() + win_lo_, live, n * sizeof(Timed));
   }
-  b->time = at;
-  b->first_seq = first_seq;
-  b->cursor = 0;
-  b->next_free = nullptr;
-  assert(b->entries.empty());
-  return b;
+  win_hi_ = win_lo_ + n;
 }
 
-void Simulation::RecycleBucket(Bucket* b) {
-  b->entries.clear();  // POD entries; capacity retained for reuse
-  b->next_free = bucket_free_;
-  bucket_free_ = b;
-}
-
-void Simulation::HeapPush(Bucket* b) {
-  heap_.push_back(HeapEnt{b->time, b->first_seq, b});
-  // Sift up (arity-d heap ordered by (time, first_seq)).
-  size_t i = heap_.size() - 1;
-  const HeapEnt entry = heap_[i];
-  while (i > 0) {
-    const size_t parent = (i - 1) / kHeapArity;
-    const HeapEnt& p = heap_[parent];
-    if (p.time < entry.time ||
-        (p.time == entry.time && p.first_seq < entry.first_seq)) {
-      break;
-    }
-    heap_[i] = p;
-    i = parent;
+void Simulation::EvictWindowTail(SimTime at) {
+  // Whole instants move, so the window never shares one with the far heap;
+  // they keep their order because their fresh sequence numbers are below
+  // any later schedule's.
+  while (win_hi_ - win_lo_ > kWindowRefill &&
+         window_[win_hi_ - 1].time > at) {
+    const SimTime t = window_[win_hi_ - 1].time;
+    size_t start = win_hi_ - 1;
+    while (start > win_lo_ && window_[start - 1].time == t) --start;
+    for (size_t i = start; i < win_hi_; ++i) FarPush(t, window_[i].entry);
+    win_hi_ = start;
+    window_limit_ = t;
   }
-  heap_[i] = entry;
 }
 
-void Simulation::HeapPopRoot() {
-  const HeapEnt last = heap_.back();
-  heap_.pop_back();
-  if (heap_.empty()) return;
-  // Sift the former last entry down from the root.
-  const size_t n = heap_.size();
-  size_t i = 0;
-  for (;;) {
-    const size_t first_child = i * kHeapArity + 1;
-    if (first_child >= n) break;
-    const size_t last_child = std::min(first_child + kHeapArity, n);
-    size_t best = first_child;
-    for (size_t c = first_child + 1; c < last_child; ++c) {
-      const HeapEnt& a = heap_[c];
-      const HeapEnt& b = heap_[best];
-      if (a.time < b.time ||
-          (a.time == b.time && a.first_seq < b.first_seq)) {
-        best = c;
-      }
-    }
-    const HeapEnt& m = heap_[best];
-    if (last.time < m.time ||
-        (last.time == m.time && last.first_seq < m.first_seq)) {
-      break;
-    }
-    heap_[i] = m;
-    i = best;
+void Simulation::WindowInsert(SimTime at, Entry e) {
+  if (win_hi_ - win_lo_ >= kWindowCap && at < window_[win_hi_ - 1].time) {
+    EvictWindowTail(at);
   }
-  heap_[i] = last;
-}
-
-void Simulation::AddEntry(SimTime at, Entry e) {
-  const uint64_t seq = next_seq_++;
-  if (current_ != nullptr && at == current_->time) {
-    // Same-instant schedule while that instant dispatches: FIFO tail of the
-    // live bucket (resource grants, channel sends, trigger releases).
-    current_->entries.push_back(e);
-  } else if (future_ != nullptr && at == future_->time) {
-    // Repeat schedule for the most recently targeted future instant
-    // (synchronized delays all landing on now + dt).
-    future_->entries.push_back(e);
+  // Behind every entry at or before `at`. The latest instant (or a tie with
+  // it) is an append; otherwise the middle entry picks the side to shift,
+  // and a linear walk from that end moves it one slot.
+  const size_t n = win_hi_ - win_lo_;
+  if (n == 0 || at >= window_[win_hi_ - 1].time) {
+    if (win_hi_ == window_cap_) RecenterWindow();
+    window_[win_hi_++] = Timed{at, e};
+  } else if (at < window_[win_lo_ + n / 2].time) {
+    if (win_lo_ == 0) RecenterWindow();
+    Timed* q = window_.get() + --win_lo_;
+    for (; q[1].time <= at; ++q) q[0] = q[1];
+    *q = Timed{at, e};
   } else {
-    Bucket* b = AllocBucket(at, seq);
-    b->entries.push_back(e);
-    HeapPush(b);
-    future_ = b;
+    if (win_hi_ == window_cap_) RecenterWindow();
+    Timed* q = window_.get() + win_hi_++;
+    for (; q[-1].time > at; --q) q[0] = q[-1];
+    *q = Timed{at, e};
+  }
+}
+
+void Simulation::Refill() {
+  SimTime last = -std::numeric_limits<SimTime>::infinity();
+  while (!far_.empty() && (win_hi_ - win_lo_ < kWindowRefill ||
+                           far_.front().time == last)) {
+    std::pop_heap(far_.begin(), far_.end(), Later);
+    last = far_.back().time;
+    WindowInsert(last, far_.back().entry);  // an append
+    far_.pop_back();
+  }
+  window_limit_ = far_.empty() ? std::numeric_limits<SimTime>::infinity()
+                               : far_.front().time;
+}
+
+void Simulation::Enqueue(SimTime at, Entry e) {
+  if (at == now_) {
+    now_fifo_.push_back(e);
+  } else if (at < window_limit_) {
+    WindowInsert(at, e);
+  } else {
+    FarPush(at, e);
   }
   ++live_events_;
   if (live_events_ > peak_live_events_) peak_live_events_ = live_events_;
@@ -181,10 +174,12 @@ EventId Simulation::ScheduleResume(SimTime at, std::coroutine_handle<> h) {
     EventSlot& s = slots_[slot];
     s.handle = h;
     s.pending = true;
-    AddEntry(at, Entry{slot, s.gen});
+    Enqueue(at, SlabEntry(slot, s.gen));
     return MakeId(s.gen, slot);
   }
-  AddEntry(at, Entry{reinterpret_cast<uint64_t>(h.address()), 0});
+  const auto bits = reinterpret_cast<uint64_t>(h.address());
+  assert((bits & 1u) == 0);
+  Enqueue(at, bits);
   return 0;
 }
 
@@ -196,73 +191,66 @@ bool Simulation::Cancel(EventId id) {
   if (s.gen != gen || !s.pending) return false;
   --live_events_;
   if (audit_ != nullptr) audit_->OnEventCancelled();
-  // Bumping the generation invalidates the bucket entry in place; it is
-  // discarded when its instant dispatches.
+  // Bumping the generation invalidates the calendar entry in place; it is
+  // discarded when it reaches the front.
   FreeSlot(slot);
   return true;
 }
 
-Simulation::Bucket* Simulation::PopEarliestBucket() {
-  HeapEnt top = heap_.front();
-  HeapPopRoot();
-  if (top.bucket == future_) future_ = nullptr;
-  // Fold same-instant successors (created when the future-bucket cache was
-  // displaced between schedules for this instant) into one bucket. Heap
-  // order pops them by first_seq, and their sequence ranges are disjoint,
-  // so concatenation preserves exact FIFO order.
-  while (!heap_.empty() && heap_.front().time == top.time) {
-    HeapEnt next = heap_.front();
-    HeapPopRoot();
-    if (next.bucket == future_) future_ = nullptr;
-    top.bucket->entries.insert(top.bucket->entries.end(),
-                               next.bucket->entries.begin(),
-                               next.bucket->entries.end());
-    RecycleBucket(next.bucket);
-  }
-  return top.bucket;
-}
-
 bool Simulation::Step(SimTime horizon) {
   for (;;) {
-    if (current_ == nullptr || current_->cursor == current_->entries.size()) {
-      if (current_ != nullptr) {
-        RecycleBucket(current_);
-        current_ = nullptr;
+    // Peek before consuming: a stop at the horizon leaves every tier intact.
+    if (win_lo_ == win_hi_ && !far_.empty()) Refill();
+    const bool windowed = win_lo_ != win_hi_;
+    SimTime at;
+    Entry e;
+    if (now_head_ != now_fifo_.size() &&
+        !(windowed && window_[win_lo_].time == now_)) {
+      // Entries filed for now() after the clock got here run after the
+      // ones already due at this instant.
+      if (now_ > horizon) return false;
+      at = now_;
+      e = now_fifo_[now_head_++];
+      if (now_head_ == now_fifo_.size()) {
+        now_fifo_.clear();
+        now_head_ = 0;
       }
-      if (heap_.empty()) return false;
-      if (heap_.front().time > horizon) return false;
-      current_ = PopEarliestBucket();
+    } else {
+      if (!windowed) return false;
+      const Timed& r = window_[win_lo_];
+      if (r.time > horizon) return false;
+      at = r.time;
+      e = r.entry;
+      if (++win_lo_ == win_hi_) win_lo_ = win_hi_ = window_cap_ / 2;
     }
-    if (current_->time > horizon) return false;
-    const Entry e = current_->entries[current_->cursor++];
-    if (e.gen != 0) {
-      const EventSlot& s = slots_[static_cast<uint32_t>(e.bits)];
-      if (s.gen != e.gen || !s.pending) continue;  // cancelled: discard
+    const auto slot = static_cast<uint32_t>((e & 0xFFFFFFFFu) >> 1);
+    const auto gen = static_cast<uint32_t>(e >> 32);
+    const bool direct = (e & 1u) == 0;
+    if (!direct && (slots_[slot].gen != gen || !slots_[slot].pending)) {
+      continue;  // cancelled: discard
     }
-    if (audit_ != nullptr) audit_->OnEventDispatched(current_->time, now_);
-    now_ = current_->time;
+    if (audit_ != nullptr) audit_->OnEventDispatched(at, now_);
+    now_ = at;
     ++events_dispatched_;
     --live_events_;
-    if (e.gen == 0) {
+    if (direct) {
       // Direct resume: the entry holds the coroutine handle, no slab slot.
-      const auto h = std::coroutine_handle<>::from_address(
-          reinterpret_cast<void*>(e.bits));
       if (tracer_) tracer_(now_, 0, true);
-      h.resume();
+      std::coroutine_handle<>::from_address(reinterpret_cast<void*>(e))
+          .resume();
       return true;
     }
-    const uint32_t slot = static_cast<uint32_t>(e.bits);
     EventSlot& s = slots_[slot];
     if (s.handle) {
       const std::coroutine_handle<> h = s.handle;
-      if (tracer_) tracer_(now_, MakeId(e.gen, slot), true);
+      if (tracer_) tracer_(now_, MakeId(gen, slot), true);
       FreeSlot(slot);
       h.resume();
     } else {
       // Move the callback out before freeing: invoking it may schedule new
       // events, which can reuse (or reallocate) this slot.
       detail::SmallFn fn = std::move(s.fn);
-      if (tracer_) tracer_(now_, MakeId(e.gen, slot), false);
+      if (tracer_) tracer_(now_, MakeId(gen, slot), false);
       FreeSlot(slot);
       fn.Invoke();
     }

@@ -6,21 +6,20 @@
 // channels, triggers) is mediated by the calendar so execution order is
 // deterministic for a given seed.
 //
-// Calendar fast path (see DESIGN.md §12): events sharing a timestamp are
-// batched into a *bucket* (an append-ordered vector of 16-byte entries) and
-// the 4-ary heap orders whole buckets by (time, first sequence number), so
-// the per-event cost of a same-instant burst is one vector append instead of
-// a heap sift. Two caches make the common patterns O(1): appends at the
-// instant currently dispatching go straight into the live bucket (resource
-// grants, channel sends, trigger fires), and appends for the most recently
-// targeted future instant reuse that bucket (synchronized delays).
+// Calendar (see DESIGN.md §12): flat, inline (time, entry) records in three
+// tiers. Schedules for the instant currently dispatching append to a FIFO;
+// near-future events sit in a sorted window where equal times stay
+// contiguous in scheduling order, so a tie at the latest instant is an
+// append; events past the window's limit go to a far heap, which bounds
+// per-event cost on deep calendars. Dispatch order is exactly (time,
+// scheduling order).
 //
 // Cancellable events (ScheduleAt/ScheduleAfter) live in a slab of reusable
 // records addressed by (slot, generation); cancellation flips the slot's
-// generation — O(1), no hash lookup — and stale bucket entries are discarded
-// lazily at dispatch. Plain coroutine resumes skip the slab entirely and
-// store the handle in the bucket entry (no caller ever cancels a resume),
-// unless a tracer is armed and needs per-event ids.
+// generation — O(1), no hash lookup — and stale calendar entries are
+// discarded lazily at dispatch. Plain coroutine resumes skip the slab
+// entirely and store the handle in the entry (no caller ever cancels a
+// resume), unless a tracer is armed and needs per-event ids.
 #pragma once
 
 #include <cassert>
@@ -28,6 +27,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -208,7 +209,7 @@ class Simulation {
     EventSlot& s = slots_[slot];
     s.fn.Emplace(std::forward<Fn>(fn));
     s.pending = true;
-    AddEntry(at, Entry{slot, s.gen});
+    Enqueue(at, SlabEntry(slot, s.gen));
     return MakeId(s.gen, slot);
   }
 
@@ -227,7 +228,7 @@ class Simulation {
 
   /// Cancels a pending event. Returns false if it already fired or was
   /// already cancelled. O(1): flips the event slot's generation; the stale
-  /// bucket entry is discarded lazily when its instant dispatches.
+  /// calendar entry is discarded lazily when it reaches the front.
   bool Cancel(EventId id);
 
   /// Awaitable that suspends the calling process for `dt` ms.
@@ -293,8 +294,9 @@ class Simulation {
                                            std::coroutine_handle<> h);
 
   /// One reusable event record in the slab. `gen` distinguishes the slot's
-  /// successive occupants: a bucket entry whose generation no longer matches
-  /// was cancelled (or belongs to a previous occupant) and is skipped.
+  /// successive occupants: a calendar entry whose generation no longer
+  /// matches was cancelled (or belongs to a previous occupant) and is
+  /// skipped.
   struct EventSlot {
     std::coroutine_handle<> handle{};  // set for traced coroutine resumes
     detail::SmallFn fn;                // set for callback events
@@ -303,66 +305,66 @@ class Simulation {
     bool pending = false;
   };
 
-  /// One calendar entry inside a bucket. `gen == 0` marks a direct
-  /// coroutine resume with the handle address in `bits` (slab generations
-  /// are never 0); otherwise `bits` is a slab slot index and `gen` its
-  /// expected generation.
-  struct Entry {
-    uint64_t bits;
-    uint32_t gen;
-    uint32_t reserved = 0;
-  };
+  /// A calendar entry is one word. A direct coroutine resume stores the
+  /// frame address (even); a slab event stores (gen << 32 | slot << 1 | 1).
+  using Entry = uint64_t;
 
-  /// All events scheduled for one instant, in scheduling (FIFO) order.
-  /// `first_seq` is the global sequence number of the first entry; buckets
-  /// for the same instant (possible after cache displacement) cover
-  /// disjoint, increasing sequence ranges, so ordering whole buckets by
-  /// (time, first_seq) reproduces exact global FIFO order.
-  struct Bucket {
-    SimTime time = 0.0;
-    uint64_t first_seq = 0;
-    size_t cursor = 0;
-    std::vector<Entry> entries;
-    Bucket* next_free = nullptr;
-  };
-
-  /// Heap element: bucket key copied inline so sifts stay pointer-chase
-  /// free.
-  struct HeapEnt {
+  /// Window record: entries dispatch in array order.
+  struct Timed {
     SimTime time;
-    uint64_t first_seq;
-    Bucket* bucket;
+    Entry entry;
+  };
+
+  /// Far-heap record; `seq` orders equal times in scheduling order.
+  struct FarRec {
+    SimTime time;
+    uint64_t seq;
+    Entry entry;
   };
 
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
-  /// Arity of the bucket heap: shallower than a binary heap, and the
-  /// four-way child comparison is cache-friendly on 24-byte entries.
-  static constexpr size_t kHeapArity = 4;
+  /// Slot indices share the entry word with a tag bit.
+  static constexpr uint32_t kMaxSlots = 0x80000000u;
+  /// A window insert that would shift entries while the window holds this
+  /// many first moves its latest instants to the far heap.
+  static constexpr size_t kWindowCap = 512;
+  /// Entries a refill moves from the far heap into an empty window (plus
+  /// the rest of the last instant, so no instant is split across tiers).
+  static constexpr size_t kWindowRefill = kWindowCap / 2;
 
   static EventId MakeId(uint32_t gen, uint32_t slot) {
     return (static_cast<uint64_t>(gen) << 32) | slot;
+  }
+  static Entry SlabEntry(uint32_t slot, uint32_t gen) {
+    return (static_cast<uint64_t>(gen) << 32) |
+           (static_cast<uint64_t>(slot) << 1) | 1u;
   }
 
   /// Pops a slot off the free list (or grows the slab).
   uint32_t AllocSlot();
   /// Returns the slot to the free list and bumps its generation.
   void FreeSlot(uint32_t idx);
-  /// Appends an event entry for absolute time `at` (audits + accounting).
-  void AddEntry(SimTime at, Entry e);
-  Bucket* AllocBucket(SimTime at, uint64_t first_seq);
-  void RecycleBucket(Bucket* b);
-  /// Pops the earliest bucket, folding any same-instant successors into it
-  /// so the live bucket always holds the instant's complete FIFO tail.
-  Bucket* PopEarliestBucket();
-  void HeapPush(Bucket* b);
-  void HeapPopRoot();
+  /// Files an entry for absolute time `at` (audits + accounting).
+  void Enqueue(SimTime at, Entry e);
+  /// Inserts into the window behind every entry at or before `at`.
+  void WindowInsert(SimTime at, Entry e);
+  /// Moves the window's latest instants to the far heap until it holds at
+  /// most kWindowRefill entries or its last instant is not after `at`.
+  void EvictWindowTail(SimTime at);
+  /// Refills the empty window from the far heap.
+  void Refill();
+  /// Re-centres the window's live range in its buffer, growing it when
+  /// the range fills more than half of it.
+  void RecenterWindow();
+  /// Heap order of the far tier: a min-heap on (time, seq).
+  static bool Later(const FarRec& a, const FarRec& b);
+  void FarPush(SimTime at, Entry e);
 
   // Dispatches the next event; returns false if the calendar is exhausted or
   // the next event lies beyond `horizon`.
   bool Step(SimTime horizon);
 
   SimTime now_ = 0.0;
-  uint64_t next_seq_ = 0;
   uint64_t events_dispatched_ = 0;
   size_t live_events_ = 0;
   size_t peak_live_events_ = 0;
@@ -371,14 +373,22 @@ class Simulation {
 
   std::function<void(SimTime, EventId, bool)> tracer_;
   AuditHook* audit_ = nullptr;
-  std::vector<HeapEnt> heap_;
-  /// Bucket currently dispatching (its time == now()); same-instant
-  /// schedules append here.
-  Bucket* current_ = nullptr;
-  /// Most recently targeted future bucket; repeat schedules for its
-  /// instant append here instead of creating a duplicate bucket.
-  Bucket* future_ = nullptr;
-  Bucket* bucket_free_ = nullptr;
+  /// Entries for now(), scheduled while the window or far heap may still
+  /// hold older entries for the same instant; those dispatch first.
+  std::vector<Entry> now_fifo_;
+  size_t now_head_ = 0;
+  /// Sorted window: live records are window_[win_lo_, win_hi_), all with
+  /// time < window_limit_; slack on both sides lets an insert shift
+  /// whichever side is shorter.
+  std::unique_ptr<Timed[]> window_;
+  size_t window_cap_ = 0;
+  size_t win_lo_ = 0;
+  size_t win_hi_ = 0;
+  SimTime window_limit_ = std::numeric_limits<SimTime>::infinity();
+  /// Far heap, ordered by (time, seq); every record has time >=
+  /// window_limit_.
+  std::vector<FarRec> far_;
+  uint64_t far_seq_ = 0;
   std::vector<EventSlot> slots_;
   uint32_t free_head_ = kNoSlot;
   /// Detached (spawned) processes, linked intrusively through their

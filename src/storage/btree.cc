@@ -254,38 +254,23 @@ std::vector<BTreeEntry> BPlusTree::RangeSearch(Value lo, Value hi) const {
   return out;
 }
 
+BPlusTree::LeafView BPlusTree::ViewLeaf(const Node* leaf) {
+  return LeafView{leaf->keys.data(), leaf->rids.data(), leaf->keys.size(),
+                  leaf->next};
+}
+
 void BPlusTree::RangeSearchInto(Value lo, Value hi,
                                 std::vector<BTreeEntry>* out) const {
-  if (lo > hi || size_ == 0) return;
-  const Node* leaf = FindLeaf(lo);
-  while (leaf != nullptr) {
-    const auto start =
-        std::lower_bound(leaf->keys.begin(), leaf->keys.end(), lo) -
-        leaf->keys.begin();
-    for (size_t i = static_cast<size_t>(start); i < leaf->keys.size(); ++i) {
-      if (leaf->keys[i] > hi) return;
-      out->push_back(BTreeEntry{leaf->keys[i], leaf->rids[i]});
-    }
-    leaf = leaf->next;
-  }
+  ForEachInRange(lo, hi, [out](const BTreeEntry& e) { out->push_back(e); });
 }
 
 BPlusTree::RangeStats BPlusTree::RangeBounds(Value lo, Value hi) const {
   RangeStats stats;
-  if (lo > hi || size_ == 0) return stats;
-  const Node* leaf = FindLeaf(lo);
-  while (leaf != nullptr) {
-    const auto start =
-        std::lower_bound(leaf->keys.begin(), leaf->keys.end(), lo) -
-        leaf->keys.begin();
-    for (size_t i = static_cast<size_t>(start); i < leaf->keys.size(); ++i) {
-      if (leaf->keys[i] > hi) return stats;
-      if (stats.count == 0) stats.first = BTreeEntry{leaf->keys[i], leaf->rids[i]};
-      stats.last = BTreeEntry{leaf->keys[i], leaf->rids[i]};
-      ++stats.count;
-    }
-    leaf = leaf->next;
-  }
+  ForEachInRange(lo, hi, [&stats](const BTreeEntry& e) {
+    if (stats.count == 0) stats.first = e;
+    stats.last = e;
+    ++stats.count;
+  });
   return stats;
 }
 

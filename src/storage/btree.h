@@ -8,6 +8,8 @@
 //     random reads plus LeafPagesTouched(lo,hi) leaf reads).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -56,6 +58,22 @@ class BPlusTree {
 
   /// All entries with lo <= key <= hi, in key order.
   std::vector<BTreeEntry> RangeSearch(Value lo, Value hi) const;
+
+  /// Calls fn(entry) for every entry with lo <= key <= hi, in key order.
+  /// Allocation-free: walks the leaf chain in place.
+  template <typename Fn>
+  void ForEachInRange(Value lo, Value hi, Fn&& fn) const {
+    if (lo > hi || size_ == 0) return;
+    for (LeafView v = ViewLeaf(FindLeaf(lo));; v = ViewLeaf(v.next)) {
+      for (size_t i = static_cast<size_t>(
+               std::lower_bound(v.keys, v.keys + v.size, lo) - v.keys);
+           i < v.size; ++i) {
+        if (v.keys[i] > hi) return;
+        fn(BTreeEntry{v.keys[i], v.rids[i]});
+      }
+      if (v.next == nullptr) return;
+    }
+  }
 
   /// Appends all entries with lo <= key <= hi (in key order) to `out`
   /// without clearing it. The allocation-free variant for hot paths that
@@ -113,6 +131,14 @@ class BPlusTree {
 
  private:
   struct Node;
+  /// A leaf's entries and successor, for the inline range walk.
+  struct LeafView {
+    const Value* keys;
+    const RecordId* rids;
+    size_t size;
+    const Node* next;
+  };
+  static LeafView ViewLeaf(const Node* leaf);
 
   void InsertIntoLeaf(Node* leaf, Value key, RecordId rid);
   Node* FindLeaf(Value key) const;

@@ -3,7 +3,9 @@
 // data distributions.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/grid/grid_file.h"
@@ -125,6 +127,59 @@ TEST_P(GridFileProperty, BoxQueryFindsEverythingInBox) {
             << "trial " << trial << " point " << i;
       }
     }
+  }
+}
+
+// The allocation-free box walk visits exactly CellsOverlapping's cells in
+// its order, and both equal a brute-force scan of the directory: every cell
+// (in increasing linear index) whose slice coordinates fall inside the
+// slices the box overlaps on each dimension.
+TEST_P(GridFileProperty, ForEachCellOverlappingVisitsCellsOverlappingSequence) {
+  RandomStream rng(91);
+  const int k = GetParam().dims;
+  const auto ku = static_cast<size_t>(k);
+  const GridDirectory& dir = grid_->directory();
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<Value> lo(ku), hi(ku);
+    for (size_t d = 0; d < ku; ++d) {
+      // Unbounded, point, ranged and (rarely) inverted boxes.
+      switch (rng.UniformInt(0, 5)) {
+        case 0:
+          lo[d] = std::numeric_limits<Value>::min();
+          hi[d] = std::numeric_limits<Value>::max();
+          break;
+        case 1:
+          lo[d] = hi[d] = rng.UniformInt(-10, kDomain + 10);
+          break;
+        case 2:
+          lo[d] = rng.UniformInt(0, kDomain - 1);
+          hi[d] = lo[d] - 1;
+          break;
+        default:
+          lo[d] = rng.UniformInt(-100, kDomain - 1);
+          hi[d] = lo[d] + rng.UniformInt(0, kDomain / 3);
+      }
+    }
+    std::vector<int64_t> visited;
+    grid_->ForEachCellOverlapping(
+        lo, hi, [&visited](int64_t cell) { visited.push_back(cell); });
+    EXPECT_EQ(visited, grid_->CellsOverlapping(lo, hi)) << "trial " << trial;
+
+    std::vector<int64_t> scanned;
+    bool empty_box = false;
+    for (size_t d = 0; d < ku; ++d) empty_box |= lo[d] > hi[d];
+    for (int64_t cell = 0; !empty_box && cell < dir.num_cells(); ++cell) {
+      const std::vector<int> coords = dir.CellCoords(cell);
+      bool inside = true;
+      for (int d = 0; d < k; ++d) {
+        const auto du = static_cast<size_t>(d);
+        const auto [first, last] =
+            grid_->scale(d).SlicesOverlapping(lo[du], hi[du]);
+        inside &= coords[du] >= first && coords[du] <= last;
+      }
+      if (inside) scanned.push_back(cell);
+    }
+    EXPECT_EQ(visited, scanned) << "trial " << trial;
   }
 }
 

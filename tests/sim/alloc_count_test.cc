@@ -111,13 +111,19 @@ TEST(AllocCountTest, WarmArenaAllocatesNothing) {
 
 // Warms a small closed-loop engine run past its pool-population phase, then
 // walks fixed windows of simulated time until one is completely heap-silent.
-// Shared by the default mix and the scan-heavy variant below: heap silence
-// must hold for every access path the workload can reach.
-void ExpectSteadyStateHeapSilent(const workload::Workload& wl) {
+// Shared by the default mix under each strategy and the scan-heavy variant
+// below: heap silence must hold for every access and routing path the
+// workload can reach.
+void ExpectSteadyStateHeapSilent(const char* strategy,
+                                 const workload::Workload& wl) {
+#ifdef DECLUST_ASAN_ACTIVE
+  GTEST_SKIP() << "FrameCache passes through the heap under ASan by design";
+#endif
   workload::WisconsinOptions wopts;
   wopts.cardinality = 10'000;
   const auto relation = workload::MakeWisconsin(wopts);
-  auto part = exp::MakePartitioning("range", relation, wl, /*num_processors=*/8);
+  auto part = exp::MakePartitioning(strategy, relation, wl,
+                                    /*num_processors=*/8);
   ASSERT_TRUE(part.ok()) << part.status().message();
 
   sim::Simulation sim;
@@ -130,7 +136,7 @@ void ExpectSteadyStateHeapSilent(const workload::Workload& wl) {
   system.Start();
 
   // Warm-up, then measure in fixed windows of simulated time. Every pool in
-  // the loop (event slots, calendar buckets, coroutine frame cache,
+  // the loop (event slots, calendar tiers, coroutine frame cache,
   // wait-queue rings, plan/scratch pools) retains capacity at its
   // high-water mark, and the closed system (fixed MPL) bounds every mark —
   // so allocations must die out entirely: per-event work allocates nothing,
@@ -177,21 +183,29 @@ void ExpectSteadyStateHeapSilent(const workload::Workload& wl) {
 }
 
 TEST(AllocCountTest, SteadyStateEngineEventLoopIsHeapSilent) {
-#ifdef DECLUST_ASAN_ACTIVE
-  GTEST_SKIP() << "FrameCache passes through the heap under ASan by design";
-#else
   // A quick figure-8-style configuration: range partitioning, mixed
   // resource classes, fault-free, probe/audit off — the default hot path.
   ExpectSteadyStateHeapSilent(
-      workload::MakeMix(workload::ResourceClass::kLow,
-                        workload::ResourceClass::kModerate));
-#endif
+      "range", workload::MakeMix(workload::ResourceClass::kLow,
+                                 workload::ResourceClass::kModerate));
+}
+
+TEST(AllocCountTest, BerdSteadyStateIsHeapSilent) {
+  // BERD routes a secondary-attribute query through its auxiliary trees,
+  // walking each one's leaves in place.
+  ExpectSteadyStateHeapSilent(
+      "BERD", workload::MakeMix(workload::ResourceClass::kLow,
+                                workload::ResourceClass::kModerate));
+}
+
+TEST(AllocCountTest, MagicSteadyStateIsHeapSilent) {
+  // MAGIC routes every query through the grid directory's cell walk.
+  ExpectSteadyStateHeapSilent(
+      "MAGIC", workload::MakeMix(workload::ResourceClass::kLow,
+                                 workload::ResourceClass::kModerate));
 }
 
 TEST(AllocCountTest, ScanHeavySteadyStateIsHeapSilent) {
-#ifdef DECLUST_ASAN_ACTIVE
-  GTEST_SKIP() << "FrameCache passes through the heap under ASan by design";
-#else
   // Same probe with the clustered class flipped to full fragment scans:
   // every site then reads its whole extent each query. Scan plans are
   // run-length (one entry per extent), so pooled plans must stay silent
@@ -203,8 +217,7 @@ TEST(AllocCountTest, ScanHeavySteadyStateIsHeapSilent) {
     if (cls.clustered_index) cls.sequential_scan = true;
   }
   wl.name += "+scan";
-  ExpectSteadyStateHeapSilent(wl);
-#endif
+  ExpectSteadyStateHeapSilent("range", wl);
 }
 
 TEST(AllocCountTest, ParkedDataSiteCostsAtMostTwoKiB) {

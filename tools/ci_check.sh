@@ -6,9 +6,10 @@
 # elastic-membership, open-system and closed-loop-control code paths are
 # exactly the ones that exercise coroutine lifetimes, signal-driven
 # interrupts and background I/O racing foreground queries — the bugs
-# sanitizers exist to catch. The kernel label (event calendar, coroutine
-# tasks, channels and resources; the CPU, disk and network models with the
-# network's delivery sinks) covers the frame lifetimes every layer above
+# sanitizers exist to catch. The kernel label (event calendar and its
+# order-equivalence property test, coroutine tasks, channels and resources;
+# the CPU, disk and network models with the network's delivery sinks; the
+# allocation-count probes) covers the frame lifetimes every layer above
 # rests on; under ASan the FrameCache passes each frame through the heap.
 # The setup label (relations and their derived attributes, B+-trees, the
 # Wisconsin generator, grid file, declustering and rebalancer, shared index
@@ -21,7 +22,8 @@
 # jobs=4 identity cases of the recovery, resize, open and control sweeps),
 # then a Release build runs a differential smoke: the same quick sweeps —
 # one of them rebuilding a failed disk while slices migrate — serially and
-# with --jobs 4 must produce byte-identical output. Before any build, a lint
+# with --jobs 4 must produce byte-identical output, and the calendar micro
+# benchmarks must run once. Before any build, a lint
 # rejects ASCII control bytes other than tab and newline in the tracked
 # files under src/, tests/, tools/, examples/ and bench/.
 #
@@ -42,7 +44,7 @@ while [[ $# -gt 0 ]]; do
     --jobs=*) JOBS="${1#*=}"; shift ;;
     --fresh) FRESH=1; shift ;;
     -h|--help)
-      sed -n '2,32p' "$0"; exit 0 ;;
+      sed -n '2,34p' "$0"; exit 0 ;;
     *) echo "unknown option: $1" >&2; exit 2 ;;
   esac
 done
@@ -89,12 +91,12 @@ run_preset() {
 # Release-only test self-skips there and runs in the relsmoke tree below).
 run_preset asan DECLUST_ASAN \
   'kernel|setup|faults|audit|recovery|resize|open|control|scale' \
-  sim_test hw_test storage_test workload_test grid_test decluster_test \
+  sim_test alloc_count_test hw_test storage_test workload_test grid_test decluster_test \
   engine_test fault_test audit_test recovery_test resize_test open_test \
   control_test scale_test
 run_preset ubsan DECLUST_UBSAN \
   'kernel|setup|faults|audit|recovery|resize|open|control' \
-  sim_test hw_test storage_test workload_test grid_test decluster_test \
+  sim_test alloc_count_test hw_test storage_test workload_test grid_test decluster_test \
   engine_test fault_test audit_test recovery_test resize_test open_test \
   control_test
 # Threads enter through the ThreadPool: --jobs runs sweep replications side
@@ -119,10 +121,10 @@ SMOKE_DIR="$ROOT/build-relsmoke"
 if [[ "$FRESH" == 1 ]]; then rm -rf "$SMOKE_DIR"; fi
 cmake -S "$ROOT" -B "$SMOKE_DIR" \
   -DCMAKE_BUILD_TYPE=Release \
-  -DDECLUST_BUILD_BENCHMARKS=OFF \
+  -DDECLUST_BUILD_BENCHMARKS=ON \
   -DDECLUST_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "$SMOKE_DIR" -j"$JOBS" --target run_experiment audit_sweep \
-  scale_test
+  scale_test micro_sim_kernel
 SMOKE_ARGS=(--strategies range,hash --mpls 4 --repeats 1 --cardinality 20000
             --processors 8 --warmup 500 --measure 2000)
 # Each variant is its extra arguments, '|'-separated.
@@ -176,6 +178,14 @@ fi
 echo "=== relsmoke: ctest -L scale (thousand-node setup path) ==="
 if ! ctest --test-dir "$SMOKE_DIR" -L scale --output-on-failure; then
   echo "*** relsmoke: scale suite FAILED" >&2
+  FAILED=1
+fi
+# The calendar micro cases (tie-heavy, scattered and the real figure-8 and
+# open_skew mixes) must run to completion; their rates are not gated here.
+echo "=== relsmoke: micro_sim_kernel calendar cases run ==="
+if ! "$SMOKE_DIR/bench/micro_sim_kernel" --benchmark_filter='BM_Calendar' \
+    --benchmark_min_time=0.01; then
+  echo "*** relsmoke: micro_sim_kernel calendar cases FAILED" >&2
   FAILED=1
 fi
 # audit_sweep's differential harness runs the same config through every
