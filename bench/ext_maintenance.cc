@@ -45,8 +45,12 @@ int Run() {
           rng.UniformInt(0, rel.cardinality() - 1),
           rng.UniformInt(0, rel.cardinality() - 1)};
       const auto sites = (*part)->InsertSites(values);
-      sites_sum += static_cast<double>(sites.size());
-      if (sites.size() > 1) ++remote_aux;
+      if (!sites.ok()) {
+        std::cerr << sites.status().ToString() << "\n";
+        return 1;
+      }
+      sites_sum += static_cast<double>(sites->size());
+      if (sites->size() > 1) ++remote_aux;
     }
     std::cout << std::left << std::setw(10) << strat << std::setw(16)
               << std::fixed << std::setprecision(3) << sites_sum / trials

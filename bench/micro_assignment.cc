@@ -1,13 +1,17 @@
 // Ablation of the processor-assignment heuristics: tiled latin-square
 // assignment vs naive round robin (distinct processors per slice — the
-// quantity that decides how many processors a MAGIC query touches), and the
-// cost of the section-4 hill-climbing rebalancer on correlated data.
+// quantity that decides how many processors a MAGIC query touches), the
+// cost of the section-4 hill-climbing rebalancer on correlated data, and
+// the whole MAGIC build it is part of.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 
 #include "src/decluster/assignment.h"
+#include "src/decluster/magic.h"
 #include "src/decluster/rebalance.h"
+#include "src/workload/mixes.h"
+#include "src/workload/wisconsin.h"
 
 namespace {
 
@@ -75,6 +79,30 @@ BENCHMARK(BM_RebalanceScaleSetup)
     ->Arg(1)
     ->Arg(-1)
     ->Unit(benchmark::kMillisecond);
+
+// MagicPartitioning::Create on the scale_setup workload's relation (500k
+// correlated Wisconsin tuples, 128 processors, the low-low mix): grid-file
+// bulk load, cell weights, tiled assignment and both rebalancing climbs.
+void BM_MagicCreateScaleSetup(benchmark::State& state) {
+  workload::WisconsinOptions o;
+  o.cardinality = 500'000;
+  o.correlation = 1.0;
+  o.seed = 7;
+  const storage::Relation rel = workload::MakeWisconsin(o);
+  const workload::Workload wl = workload::MakeMix(
+      workload::ResourceClass::kLow, workload::ResourceClass::kLow);
+  const std::vector<storage::AttrId> attrs = {
+      workload::WisconsinAttrs::kUnique1, workload::WisconsinAttrs::kUnique2};
+  for (auto _ : state) {
+    auto part = decluster::MagicPartitioning::Create(rel, attrs, wl, 128);
+    if (!part.ok()) {
+      state.SkipWithError(part.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize((*part)->cell_nodes().data());
+  }
+}
+BENCHMARK(BM_MagicCreateScaleSetup)->Unit(benchmark::kMillisecond);
 
 // Not a timing benchmark: prints the ablation table comparing tiled vs
 // round-robin assignment quality on the paper's directory shapes.

@@ -24,7 +24,8 @@ Result<std::unique_ptr<BerdPartitioning>> BerdPartitioning::Create(
     home[static_cast<size_t>(i)] =
         primary->NodeOf(static_cast<RecordId>(i));
   }
-  part->SetAssignment(num_nodes, std::move(home));
+  part->SetAssignment(num_nodes, static_cast<int>(schema_attrs.size()),
+                      std::move(home));
   part->primary_ = std::move(primary);
 
   // Build the auxiliary relation: (secondary value, rid), sorted by value,
@@ -89,7 +90,7 @@ void BerdPartitioning::SitesForInto(const Predicate& q,
   homes.erase(std::unique(homes.begin(), homes.end()), homes.end());
 }
 
-std::vector<int> BerdPartitioning::InsertSites(
+std::vector<int> BerdPartitioning::SitesForInsert(
     const std::vector<Value>& attr_values) const {
   // The tuple's home fragment plus the auxiliary-relation fragment of the
   // secondary attribute value: every insert maintains IndexB too.

@@ -62,13 +62,14 @@ class BerdPartitioning : public Partitioning {
   /// secondary attribute.
   AuxLookupCost AuxCost(int node, Value lo, Value hi) const;
 
-  std::vector<int> InsertSites(
-      const std::vector<Value>& attr_values) const override;
-
   /// Aux-relation fragment boundaries (upper bounds per node), for tests.
   const std::vector<Value>& aux_upper_bounds() const {
     return aux_upper_bounds_;
   }
+
+ protected:
+  std::vector<int> SitesForInsert(
+      const std::vector<Value>& attr_values) const override;
 
  private:
   std::string name_ = "BERD";

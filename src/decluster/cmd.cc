@@ -55,7 +55,8 @@ Result<std::unique_ptr<CmdPartitioning>> CmdPartitioning::Create(
     }
     home[static_cast<size_t>(i)] = part->NodeOfCell(coords);
   }
-  part->SetAssignment(num_nodes, std::move(home));
+  part->SetAssignment(num_nodes, static_cast<int>(schema_attrs.size()),
+                      std::move(home));
   return part;
 }
 
@@ -105,7 +106,7 @@ void CmdPartitioning::SitesForInto(const Predicate& q,
   out->data_nodes = NodesForBox(lo, hi);
 }
 
-std::vector<int> CmdPartitioning::InsertSites(
+std::vector<int> CmdPartitioning::SitesForInsert(
     const std::vector<Value>& attr_values) const {
   std::vector<int> coords(scales_.size());
   for (size_t d = 0; d < scales_.size(); ++d) {

@@ -34,13 +34,14 @@ class CmdPartitioning : public Partitioning {
     return scales_[static_cast<size_t>(dim)];
   }
 
-  std::vector<int> InsertSites(
-      const std::vector<Value>& attr_values) const override;
-
   /// Processors overlapped by a full box predicate (one [lo,hi] per
   /// dimension) — the query type CMD is designed for.
   std::vector<int> NodesForBox(const std::vector<Value>& lo,
                                const std::vector<Value>& hi) const;
+
+ protected:
+  std::vector<int> SitesForInsert(
+      const std::vector<Value>& attr_values) const override;
 
  private:
   std::string name_ = "CMD";

@@ -27,7 +27,8 @@ Result<std::unique_ptr<HashPartitioning>> HashPartitioning::Create(
     home[static_cast<size_t>(i)] =
         HashToNode(relation.value(static_cast<RecordId>(i), attr), num_nodes);
   }
-  part->SetAssignment(num_nodes, std::move(home));
+  part->SetAssignment(num_nodes, static_cast<int>(schema_attrs.size()),
+                      std::move(home));
   return part;
 }
 

@@ -22,7 +22,8 @@ class HashPartitioning : public Partitioning {
   /// The hash function used (exposed for tests).
   static int HashToNode(Value v, int num_nodes);
 
-  std::vector<int> InsertSites(
+ protected:
+  std::vector<int> SitesForInsert(
       const std::vector<Value>& attr_values) const override {
     return {HashToNode(attr_values[0], num_nodes())};
   }

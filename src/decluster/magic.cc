@@ -5,6 +5,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <tuple>
 
 namespace declust::decluster {
 
@@ -68,25 +69,49 @@ Result<std::unique_ptr<MagicPartitioning>> MagicPartitioning::Create(
         part->grid_->Insert(std::span<const Value>(point), rid));
   }
 
+  // The directory, materialized once now that every tuple is in.
+  const grid::GridDirectory& directory = part->grid_->directory();
+
   // Every tuple's cell in the final directory, computed once: it gives both
   // the per-cell weights and, after the assignment, the tuple's home.
   const int64_t card = relation.cardinality();
   std::vector<int64_t> tuple_cell(static_cast<size_t>(card));
-  part->cell_weights_.assign(
-      static_cast<size_t>(part->grid_->directory().num_cells()), 0);
-  for (int64_t i = 0; i < card; ++i) {
-    const auto rid = static_cast<RecordId>(i);
-    for (int d = 0; d < k; ++d) {
-      point[static_cast<size_t>(d)] =
-          relation.value(rid, schema_attrs[static_cast<size_t>(d)]);
-    }
-    const int64_t cell = part->grid_->CellOfPoint(point);
-    tuple_cell[static_cast<size_t>(i)] = cell;
+  part->cell_weights_.assign(static_cast<size_t>(directory.num_cells()), 0);
+  part->grid_->ForEachEntryCell([&](RecordId rid, int64_t cell) {
+    tuple_cell[rid] = cell;
     ++part->cell_weights_[static_cast<size_t>(cell)];
+  });
+
+  // Routing index: the non-empty cells of every slice, per dimension.
+  const std::vector<int>& dims = directory.dims();
+  part->slice_cells_.resize(static_cast<size_t>(k));
+  int64_t stride = 1;
+  for (int d = k - 1; d >= 0; --d) {
+    const int nd = dims[static_cast<size_t>(d)];
+    SliceCells& sc = part->slice_cells_[static_cast<size_t>(d)];
+    sc.start.assign(static_cast<size_t>(nd) + 1, 0);
+    const auto slice_of = [&](int64_t cell) {
+      return static_cast<size_t>((cell / stride) % nd);
+    };
+    for (int64_t c = 0; c < directory.num_cells(); ++c) {
+      if (part->cell_weights_[static_cast<size_t>(c)] != 0) {
+        ++sc.start[slice_of(c) + 1];
+      }
+    }
+    for (size_t s = 0; s < static_cast<size_t>(nd); ++s) {
+      sc.start[s + 1] += sc.start[s];
+    }
+    sc.cells.resize(static_cast<size_t>(sc.start.back()));
+    std::vector<int> fill(sc.start.begin(), sc.start.end() - 1);
+    for (int64_t c = 0; c < directory.num_cells(); ++c) {
+      if (part->cell_weights_[static_cast<size_t>(c)] != 0) {
+        sc.cells[static_cast<size_t>(fill[slice_of(c)]++)] = c;
+      }
+    }
+    stride *= nd;
   }
 
   // Assignment of directory entries to processors.
-  const std::vector<int>& dims = part->grid_->directory().dims();
   DECLUST_ASSIGN_OR_RETURN(
       part->cell_nodes_, TiledAssignment(dims, num_nodes, part->plan_.mi));
 
@@ -132,20 +157,38 @@ Result<std::unique_ptr<MagicPartitioning>> MagicPartitioning::Create(
   for (size_t i = 0; i < home.size(); ++i) {
     home[i] = part->cell_nodes_[static_cast<size_t>(tuple_cell[i])];
   }
-  part->SetAssignment(num_nodes, std::move(home));
+  part->SetAssignment(num_nodes, static_cast<int>(schema_attrs.size()),
+                      std::move(home));
   return part;
 }
 
-int MagicPartitioning::NodesForPredicate(
-    const Predicate& q, const std::vector<int>& cell_nodes) const {
-  std::vector<int> nodes;
-  ForEachCellOfPredicate(q, [&](int64_t cell) {
-    if (cell_weights_[static_cast<size_t>(cell)] == 0) return;
-    nodes.push_back(cell_nodes[static_cast<size_t>(cell)]);
-  });
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  return static_cast<int>(nodes.size());
+void MagicPartitioning::NodesForPredicate(const Predicate& q,
+                                          const std::vector<int>& cell_nodes,
+                                          std::vector<int>* nodes) const {
+  // The optimizer skips empty fragments: the grid directory records the
+  // cardinality of every fragment, so a processor holding only empty
+  // entries of the predicate's region is never contacted (section 4). The
+  // predicate's box is its range on q.attr and the whole domain on every
+  // other dimension, so its non-empty cells are those of q.attr's slices
+  // in range (every non-empty cell for a predicate on no grid dimension).
+  nodes->clear();
+  const bool on_grid = q.attr >= 0 && q.attr < grid_->num_dims();
+  if (on_grid && q.lo > q.hi) return;
+  const SliceCells& sc =
+      slice_cells_[static_cast<size_t>(on_grid ? q.attr : 0)];
+  int first = 0;
+  int last = static_cast<int>(sc.start.size()) - 2;
+  if (on_grid) {
+    std::tie(first, last) =
+        grid_->scale(q.attr).SlicesOverlapping(q.lo, q.hi);
+  }
+  for (int i = sc.start[static_cast<size_t>(first)];
+       i < sc.start[static_cast<size_t>(last) + 1]; ++i) {
+    const int64_t cell = sc.cells[static_cast<size_t>(i)];
+    nodes->push_back(cell_nodes[static_cast<size_t>(cell)]);
+  }
+  std::sort(nodes->begin(), nodes->end());
+  nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
 }
 
 double MagicPartitioning::ScoreAssignment(
@@ -169,6 +212,7 @@ double MagicPartitioning::ScoreAssignment(
   // the domain.
   double avg_io = 0;
   double freq_total = 0;
+  std::vector<int> nodes;
   constexpr int kSamples = 16;
   for (const auto& cls : workload.classes) {
     if (cls.attr < 0 || cls.attr >= k || cls.frequency <= 0) continue;
@@ -180,7 +224,8 @@ double MagicPartitioning::ScoreAssignment(
     for (int s = 0; s < kSamples; ++s) {
       const Value lo =
           dlo + (dhi - dlo - width) * s / kSamples;
-      procs += NodesForPredicate({cls.attr, lo, lo + width - 1}, cell_nodes);
+      NodesForPredicate({cls.attr, lo, lo + width - 1}, cell_nodes, &nodes);
+      procs += static_cast<double>(nodes.size());
     }
     procs /= kSamples;
     const double data_pages =
@@ -195,16 +240,7 @@ double MagicPartitioning::ScoreAssignment(
 void MagicPartitioning::SitesForInto(const Predicate& q,
                                      PlanSites* out) const {
   out->clear();
-  std::vector<int>& nodes = out->data_nodes;
-  ForEachCellOfPredicate(q, [&](int64_t cell) {
-    // The optimizer skips empty fragments: the grid directory records the
-    // cardinality of every fragment, so a processor holding only empty
-    // entries of the predicate's region is never contacted (section 4).
-    if (cell_weights_[static_cast<size_t>(cell)] == 0) return;
-    nodes.push_back(cell_nodes_[static_cast<size_t>(cell)]);
-  });
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  NodesForPredicate(q, cell_nodes_, &out->data_nodes);
 }
 
 double MagicPartitioning::PlanningCpuMs(const Predicate& q) const {

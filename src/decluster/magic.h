@@ -4,10 +4,7 @@
 // attribute correlation.
 #pragma once
 
-#include <array>
-#include <limits>
 #include <memory>
-#include <utility>
 
 #include "src/decluster/assignment.h"
 #include "src/decluster/magic_planner.h"
@@ -48,11 +45,6 @@ class MagicPartitioning : public Partitioning {
   }
   void SitesForInto(const Predicate& q, PlanSites* out) const override;
   double PlanningCpuMs(const Predicate& q) const override;
-  std::vector<int> InsertSites(
-      const std::vector<Value>& attr_values) const override {
-    const int64_t cell = grid_->CellOfPoint(attr_values);
-    return {cell_nodes_[static_cast<size_t>(cell)]};
-  }
 
   const MagicPlan& plan() const { return plan_; }
   const grid::GridFile& grid() const { return *grid_; }
@@ -68,6 +60,13 @@ class MagicPartitioning : public Partitioning {
     return static_cast<double>(SitesFor(q).data_nodes.size());
   }
 
+ protected:
+  std::vector<int> SitesForInsert(
+      const std::vector<Value>& attr_values) const override {
+    // InsertSites checked the arity, so the cell lookup cannot fail.
+    return {cell_nodes_[static_cast<size_t>(*grid_->CellOfPoint(attr_values))]};
+  }
+
  private:
   // Bottleneck throughput proxy of a candidate cell->processor assignment:
   // (max processor load fraction) x (I/O pages per average query). Lower is
@@ -75,23 +74,19 @@ class MagicPartitioning : public Partitioning {
   double ScoreAssignment(const std::vector<int>& cell_nodes, int num_nodes,
                          const workload::Workload& workload, int k) const;
   // Distinct processors a predicate's non-empty cells map to under a
-  // candidate assignment.
-  int NodesForPredicate(const Predicate& q,
-                        const std::vector<int>& cell_nodes) const;
-  // Calls fn(cell) for each directory cell the predicate's box overlaps:
-  // its range on q.attr, the whole domain on every other dimension.
-  template <typename Fn>
-  void ForEachCellOfPredicate(const Predicate& q, Fn&& fn) const {
-    const auto k = static_cast<size_t>(grid_->num_dims());
-    std::array<Value, grid::GridFile::kMaxDims> lo;
-    std::array<Value, grid::GridFile::kMaxDims> hi;
-    lo.fill(std::numeric_limits<Value>::min());
-    hi.fill(std::numeric_limits<Value>::max());
-    lo[static_cast<size_t>(q.attr)] = q.lo;
-    hi[static_cast<size_t>(q.attr)] = q.hi;
-    grid_->ForEachCellOverlapping({lo.data(), k}, {hi.data(), k},
-                                  std::forward<Fn>(fn));
-  }
+  // candidate assignment, written sorted into `nodes`.
+  void NodesForPredicate(const Predicate& q,
+                         const std::vector<int>& cell_nodes,
+                         std::vector<int>* nodes) const;
+
+  // The non-empty cells of each slice, per dimension, ascending: slice s of
+  // dimension d holds cells[start[s], start[s + 1]). The cells a predicate
+  // on dimension d must visit are those of its slice range, which is one
+  // contiguous run.
+  struct SliceCells {
+    std::vector<int> start;
+    std::vector<int64_t> cells;
+  };
 
   std::string name_ = "MAGIC";
   MagicPlan plan_;
@@ -99,6 +94,7 @@ class MagicPartitioning : public Partitioning {
   std::unique_ptr<grid::GridFile> grid_;
   std::vector<int> cell_nodes_;
   std::vector<int64_t> cell_weights_;
+  std::vector<SliceCells> slice_cells_;
   std::vector<Value> domain_lo_;
   std::vector<Value> domain_hi_;
   RebalanceResult rebalance_result_;

@@ -53,7 +53,8 @@ Result<std::unique_ptr<RangePartitioning>> RangePartitioning::Create(
   }
   // Ensure the last bound covers the whole domain.
   part->upper_bounds_.back() = std::numeric_limits<Value>::max();
-  part->SetAssignment(num_nodes, std::move(home));
+  part->SetAssignment(num_nodes, static_cast<int>(schema_attrs.size()),
+                      std::move(home));
   return part;
 }
 
@@ -89,7 +90,7 @@ void RangePartitioning::SitesForInto(const Predicate& q,
   }
 }
 
-std::vector<int> RangePartitioning::InsertSites(
+std::vector<int> RangePartitioning::SitesForInsert(
     const std::vector<Value>& attr_values) const {
   // Only the new tuple's home fragment is touched.
   return NodesForRange(attr_values[0], attr_values[0]);

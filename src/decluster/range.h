@@ -37,7 +37,8 @@ class RangePartitioning : public Partitioning {
   /// vector has warmed to the machine size.
   void NodesForRangeInto(Value lo, Value hi, std::vector<int>* out) const;
 
-  std::vector<int> InsertSites(
+ protected:
+  std::vector<int> SitesForInsert(
       const std::vector<Value>& attr_values) const override;
 
  private:

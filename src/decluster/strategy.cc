@@ -5,7 +5,9 @@
 
 namespace declust::decluster {
 
-void Partitioning::SetAssignment(int num_nodes, std::vector<int> record_home) {
+void Partitioning::SetAssignment(int num_nodes, int num_attrs,
+                                 std::vector<int> record_home) {
+  num_attrs_ = num_attrs;
   record_home_ = std::move(record_home);
   node_records_.assign(static_cast<size_t>(num_nodes), {});
   for (size_t rid = 0; rid < record_home_.size(); ++rid) {

@@ -55,6 +55,9 @@ class Partitioning {
 
   int num_nodes() const { return static_cast<int>(node_records_.size()); }
 
+  /// Number of partitioning attributes (the arity InsertSites expects).
+  int num_attrs() const { return num_attrs_; }
+
   /// Record ids stored at each node.
   const std::vector<std::vector<RecordId>>& node_records() const {
     return node_records_;
@@ -91,19 +94,36 @@ class Partitioning {
   /// any auxiliary structures that need maintenance). Used by the
   /// maintenance-cost extension bench: BERD touches its auxiliary
   /// relation's processor for every secondary attribute, the others touch
-  /// only the tuple's home.
-  virtual std::vector<int> InsertSites(
-      const std::vector<Value>& attr_values) const = 0;
+  /// only the tuple's home. InvalidArgument unless `attr_values` holds one
+  /// value per partitioning attribute.
+  Result<std::vector<int>> InsertSites(
+      const std::vector<Value>& attr_values) const {
+    if (static_cast<int>(attr_values.size()) != num_attrs_) {
+      return Status::InvalidArgument(
+          "insert has " + std::to_string(attr_values.size()) +
+          " attribute values, the partitioning has " +
+          std::to_string(num_attrs_));
+    }
+    return SitesForInsert(attr_values);
+  }
 
   /// Max/min tuples per node (load-skew diagnostics).
   std::pair<int64_t, int64_t> LoadExtremes() const;
 
  protected:
-  /// Populates node_records_ and record_home_ from a per-record node map.
-  void SetAssignment(int num_nodes, std::vector<int> record_home);
+  /// Populates node_records_ and record_home_ from a per-record node map,
+  /// for a partitioning on `num_attrs` attributes.
+  void SetAssignment(int num_nodes, int num_attrs,
+                     std::vector<int> record_home);
+
+  /// InsertSites after its arity check: `attr_values` has num_attrs()
+  /// values.
+  virtual std::vector<int> SitesForInsert(
+      const std::vector<Value>& attr_values) const = 0;
 
   std::vector<std::vector<RecordId>> node_records_;
   std::vector<int> record_home_;
+  int num_attrs_ = 0;
 };
 
 }  // namespace declust::decluster

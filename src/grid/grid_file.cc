@@ -27,11 +27,18 @@ GridFile::GridFile(int num_dims, GridFileOptions options)
 
 int64_t GridFile::CellIndexOf(const Value* point) const {
   int64_t idx = 0;
-  for (int d = 0; d < k_; ++d) {
-    idx = idx * dir_.size(d) +
-          scales_[static_cast<size_t>(d)].SliceOf(point[d]);
+  for (size_t d = 0; d < static_cast<size_t>(k_); ++d) {
+    idx = idx * scales_[d].num_slices() + scales_[d].SliceOf(point[d]);
   }
   return idx;
+}
+
+const GridDirectory& GridFile::directory() const {
+  if (!slots_.empty()) {
+    dir_ = slots_.Materialize();
+    slots_ = SlotDirectory();
+  }
+  return dir_;
 }
 
 Status GridFile::Insert(std::vector<Value> point, RecordId rid) {
@@ -42,7 +49,12 @@ Status GridFile::Insert(std::span<const Value> point, RecordId rid) {
   if (static_cast<int>(point.size()) != k_) {
     return Status::InvalidArgument("point arity != num_dims");
   }
-  const int b = dir_.bucket_at_index(CellIndexOf(point.data()));
+  if (slots_.empty()) slots_ = SlotDirectory(dir_);
+  std::array<int, kMaxDims> slice;
+  for (size_t d = 0; d < static_cast<size_t>(k_); ++d) {
+    slice[d] = scales_[d].SliceOf(point[d]);
+  }
+  const int b = slots_.bucket(slots_.Offset(slice.data()));
   Bucket& target = buckets_[static_cast<size_t>(b)];
   target.points.insert(target.points.end(), point.begin(), point.end());
   target.rids.push_back(rid);
@@ -149,8 +161,9 @@ void GridFile::RegionSplit(int b, int d) {
 
   std::vector<int> coords = up_lo;
   for (;;) {
-    assert(dir_.bucket_at(coords) == b);
-    dir_.set_bucket(coords, nb);
+    const int64_t offset = slots_.Offset(coords.data());
+    assert(slots_.bucket(offset) == b);
+    slots_.set_bucket(offset, nb);
     // Advance the odometer over the box.
     int j = k_ - 1;
     for (; j >= 0; --j) {
@@ -173,7 +186,7 @@ Result<int> GridFile::TryAddCut(int b) {
   // over — no cut is possible.
   const auto fits_cap = [&](int d) {
     const int slices = scales_[static_cast<size_t>(d)].num_slices();
-    return dir_.num_cells() / slices * (slices + 1) <= opts_.max_cells;
+    return slots_.num_cells() / slices * (slices + 1) <= opts_.max_cells;
   };
   bool any_fits = false;
   for (int d = 0; d < k_ && !any_fits; ++d) any_fits = fits_cap(d);
@@ -238,7 +251,7 @@ Result<int> GridFile::TryAddCut(int b) {
                               std::to_string(d));
     }
     const int s = *slice;
-    dir_.DuplicateSlice(d, s);
+    slots_.DuplicateSlice(d, s);
     // Shift every bucket's box to the new slice numbering: slice s became
     // slices s and s+1.
     for (auto& bk : buckets_) {
@@ -254,8 +267,8 @@ std::vector<RecordId> GridFile::PointSearch(
     const std::vector<Value>& point) const {
   std::vector<RecordId> out;
   if (static_cast<int>(point.size()) != k_) return out;
-  const Bucket& bk =
-      buckets_[static_cast<size_t>(dir_.bucket_at_index(CellOfPoint(point)))];
+  const Bucket& bk = buckets_[static_cast<size_t>(
+      directory().bucket_at_index(CellIndexOf(point.data())))];
   const auto k = static_cast<size_t>(k_);
   for (size_t i = 0; i < bk.rids.size(); ++i) {
     if (std::equal(point.begin(), point.end(), bk.points.begin() + i * k)) {
@@ -274,7 +287,7 @@ std::vector<int64_t> GridFile::CellsOverlapping(
 
 std::vector<GridEntry> GridFile::EntriesInCell(int64_t cell_index) const {
   const Bucket& bk =
-      buckets_[static_cast<size_t>(dir_.bucket_at_index(cell_index))];
+      buckets_[static_cast<size_t>(directory().bucket_at_index(cell_index))];
   const auto k = static_cast<size_t>(k_);
   std::vector<GridEntry> out;
   for (size_t i = 0; i < bk.rids.size(); ++i) {
@@ -287,13 +300,11 @@ std::vector<GridEntry> GridFile::EntriesInCell(int64_t cell_index) const {
 }
 
 std::vector<int64_t> GridFile::CellHistogram() const {
-  std::vector<int64_t> hist(static_cast<size_t>(dir_.num_cells()), 0);
-  for (const auto& bucket : buckets_) {
-    for (size_t i = 0; i < bucket.points.size();
-         i += static_cast<size_t>(k_)) {
-      ++hist[static_cast<size_t>(CellIndexOf(bucket.points.data() + i))];
-    }
-  }
+  int64_t cells = 1;
+  for (const LinearScale& scale : scales_) cells *= scale.num_slices();
+  std::vector<int64_t> hist(static_cast<size_t>(cells), 0);
+  ForEachEntryCell(
+      [&hist](RecordId, int64_t cell) { ++hist[static_cast<size_t>(cell)]; });
   return hist;
 }
 
@@ -307,19 +318,20 @@ std::string GridFile::ShapeString() const {
 }
 
 Status GridFile::Validate() const {
+  const GridDirectory& dir = directory();
   // Directory shape matches the scales.
   for (int d = 0; d < k_; ++d) {
-    if (dir_.size(d) != scales_[static_cast<size_t>(d)].num_slices()) {
+    if (dir.size(d) != scales_[static_cast<size_t>(d)].num_slices()) {
       return Status::Internal("directory size != scale slices");
     }
   }
   // Each cell maps to a bucket whose box contains it; each bucket's box
   // cells all map to it; entry points lie within their bucket's box.
   int64_t total = 0;
-  for (int64_t c = 0; c < dir_.num_cells(); ++c) {
-    const int b = dir_.bucket_at_index(c);
+  for (int64_t c = 0; c < dir.num_cells(); ++c) {
+    const int b = dir.bucket_at_index(c);
     if (b < 0 || b >= num_buckets()) return Status::Internal("bad bucket id");
-    const auto coords = dir_.CellCoords(c);
+    const auto coords = dir.CellCoords(c);
     const Bucket& bk = buckets_[static_cast<size_t>(b)];
     for (int d = 0; d < k_; ++d) {
       const auto du = static_cast<size_t>(d);

@@ -78,8 +78,17 @@ class GridFile {
   const LinearScale& scale(int dim) const {
     return scales_[static_cast<size_t>(dim)];
   }
-  const GridDirectory& directory() const { return dir_; }
+  /// The row-major directory. Inserts grow a slot-mapped form of it, in
+  /// which a cut copies one slice; the first call after an insert
+  /// materializes this view once. Call it once before sharing a grid file
+  /// across threads.
+  const GridDirectory& directory() const;
   int num_buckets() const { return static_cast<int>(buckets_.size()); }
+  /// Inclusive slice box {lo, hi} of bucket `b`, per dimension.
+  std::pair<std::vector<int>, std::vector<int>> BucketBox(int b) const {
+    const Bucket& bk = buckets_[static_cast<size_t>(b)];
+    return {bk.lo, bk.hi};
+  }
   int64_t size() const { return size_; }
 
   /// Inserts one point (arity must equal num_dims). The point is copied
@@ -91,8 +100,12 @@ class GridFile {
   /// Record ids matching the point exactly.
   std::vector<RecordId> PointSearch(const std::vector<Value>& point) const;
 
-  /// Linear index of the directory cell containing `point`.
-  int64_t CellOfPoint(const std::vector<Value>& point) const {
+  /// Linear index of the directory cell containing `point`; InvalidArgument
+  /// unless the point has num_dims values.
+  Result<int64_t> CellOfPoint(std::span<const Value> point) const {
+    if (static_cast<int>(point.size()) != k_) {
+      return Status::InvalidArgument("point arity != num_dims");
+    }
     return CellIndexOf(point.data());
   }
 
@@ -114,11 +127,12 @@ class GridFile {
       if (lo[d] > hi[d]) return;
       std::tie(first[d], last[d]) = scales_[d].SlicesOverlapping(lo[d], hi[d]);
     }
-    const std::vector<int>& extent = dir_.dims();
     std::array<int, kMaxDims> coords = first;
     for (;;) {
       int64_t cell = 0;
-      for (size_t d = 0; d < k; ++d) cell = cell * extent[d] + coords[d];
+      for (size_t d = 0; d < k; ++d) {
+        cell = cell * scales_[d].num_slices() + coords[d];
+      }
       fn(cell);
       size_t j = k;
       while (j > 0 && coords[j - 1] == last[j - 1]) {
@@ -127,6 +141,27 @@ class GridFile {
       }
       if (j == 0) return;
       ++coords[j - 1];
+    }
+  }
+
+  /// Calls fn(rid, cell) for every entry, with `cell` the linear index of
+  /// its directory cell. Every entry lies in its bucket's box, so the
+  /// entries of a one-cell bucket need no scale lookup.
+  template <typename Fn>
+  void ForEachEntryCell(Fn&& fn) const {
+    const auto k = static_cast<size_t>(k_);
+    for (const Bucket& bk : buckets_) {
+      if (bk.lo == bk.hi) {
+        int64_t cell = 0;
+        for (size_t d = 0; d < k; ++d) {
+          cell = cell * scales_[d].num_slices() + bk.lo[d];
+        }
+        for (RecordId rid : bk.rids) fn(rid, cell);
+      } else {
+        for (size_t i = 0; i < bk.rids.size(); ++i) {
+          fn(bk.rids[i], CellIndexOf(bk.points.data() + i * k));
+        }
+      }
     }
   }
 
@@ -171,7 +206,10 @@ class GridFile {
   int k_;
   GridFileOptions opts_;
   std::vector<LinearScale> scales_;
-  GridDirectory dir_;
+  // Inserts address the slot-mapped form; directory() materializes dir_
+  // from it and releases it, and the next insert re-seeds it from dir_.
+  mutable SlotDirectory slots_;
+  mutable GridDirectory dir_;
   std::vector<Bucket> buckets_;
   int64_t size_ = 0;
 };

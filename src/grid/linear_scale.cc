@@ -5,9 +5,19 @@
 namespace declust::grid {
 
 int LinearScale::SliceOf(Value v) const {
-  // Number of cuts <= v.
-  return static_cast<int>(
-      std::upper_bound(cuts_.begin(), cuts_.end(), v) - cuts_.begin());
+  // Number of cuts <= v, by a binary search whose only branch is the loop
+  // count: every cut before `base` is <= v and every cut from base + len
+  // on is > v, and each step moves base by a conditional add the compiler
+  // lowers to a cmov.
+  size_t len = cuts_.size();
+  if (len == 0) return 0;
+  const Value* base = cuts_.data();
+  while (len > 1) {
+    const size_t half = len / 2;
+    base += (base[half] <= v) ? half : 0;
+    len -= half;
+  }
+  return static_cast<int>(base - cuts_.data()) + (*base <= v ? 1 : 0);
 }
 
 Result<int> LinearScale::AddCut(Value cut) {

@@ -36,7 +36,7 @@ class BrokenPartitioning : public decluster::Partitioning {
     for (size_t r = 0; r < home.size(); ++r) {
       home[r] = static_cast<int>(r) % num_nodes;
     }
-    SetAssignment(num_nodes, std::move(home));
+    SetAssignment(num_nodes, 2, std::move(home));
   }
   const std::string& name() const override { return name_; }
   void SitesForInto(const decluster::Predicate&,
@@ -44,7 +44,9 @@ class BrokenPartitioning : public decluster::Partitioning {
     out->clear();
     out->data_nodes = {0};
   }
-  std::vector<int> InsertSites(
+
+ protected:
+  std::vector<int> SitesForInsert(
       const std::vector<decluster::Value>&) const override {
     return {0};
   }

@@ -149,7 +149,9 @@ TEST_P(PartitioningProperty, InsertSitesAreValidAndIncludeDataHome) {
         rng.UniformInt(0, rel_->cardinality() - 1));
     const std::vector<Value> values = {rel_->value(rid, 0),
                                        rel_->value(rid, 1)};
-    const auto sites = part_->InsertSites(values);
+    const auto result = part_->InsertSites(values);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::vector<int>& sites = *result;
     ASSERT_GE(sites.size(), 1u);
     // Only BERD's auxiliary relation adds a second site.
     EXPECT_LE(sites.size(), is_berd ? 2u : 1u);
@@ -165,6 +167,19 @@ TEST_P(PartitioningProperty, InsertSitesAreValidAndIncludeDataHome) {
     bool home_covered = false;
     for (int n : sites) home_covered |= q_set.count(n) > 0;
     EXPECT_TRUE(home_covered) << GetParam().strategy;
+  }
+}
+
+TEST_P(PartitioningProperty, InsertSitesRejectsWrongArity) {
+  // Every strategy here partitions on two attributes; one value or three
+  // must be refused, not read past the end or silently ignored.
+  ASSERT_EQ(part_->num_attrs(), 2);
+  for (const std::vector<Value>& values :
+       {std::vector<Value>{rel_->value(0, 0)},
+        std::vector<Value>{rel_->value(0, 0), rel_->value(0, 1), 7}}) {
+    const auto sites = part_->InsertSites(values);
+    ASSERT_FALSE(sites.ok()) << values.size() << " values";
+    EXPECT_TRUE(sites.status().IsInvalidArgument());
   }
 }
 

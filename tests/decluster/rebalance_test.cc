@@ -474,6 +474,25 @@ std::vector<int64_t> MakeWeights(const std::vector<int>& dims,
   return w;
 }
 
+// Runs the climb and the dense reference from `initial`, expects identical
+// results, and returns the reference's swap count.
+int ExpectMatchesDenseReference(const std::vector<int>& dims,
+                                const std::vector<int64_t>& weights,
+                                int nodes, const std::vector<int>& initial,
+                                int max_swaps, int restrict_to_dim) {
+  std::vector<int> expected = initial;
+  std::vector<int> actual = initial;
+  const RebalanceResult want = reference::DenseHillClimbRebalance(
+      dims, weights, nodes, &expected, max_swaps, restrict_to_dim);
+  const RebalanceResult got = HillClimbRebalance(
+      dims, weights, nodes, &actual, max_swaps, restrict_to_dim);
+  EXPECT_EQ(got.swaps, want.swaps);
+  EXPECT_EQ(got.spread_before, want.spread_before);
+  EXPECT_EQ(got.spread_after, want.spread_after);
+  EXPECT_EQ(actual, expected);
+  return want.swaps;
+}
+
 TEST(RebalanceTest, SparseClimbMatchesDenseReference) {
   RandomStream rng(20260417);
   int cases = 0, swapped_targeted = 0, swapped_all_pairs = 0;
@@ -516,18 +535,9 @@ TEST(RebalanceTest, SparseClimbMatchesDenseReference) {
             trace << " nodes " << nodes << " restrict " << restrict_to_dim
                   << " max_swaps " << max_swaps;
             SCOPED_TRACE(trace);
-            std::vector<int> expected = initial;
-            std::vector<int> actual = initial;
-            const RebalanceResult want = reference::DenseHillClimbRebalance(
-                dims, weights, nodes, &expected, max_swaps, restrict_to_dim);
-            const RebalanceResult got = HillClimbRebalance(
-                dims, weights, nodes, &actual, max_swaps, restrict_to_dim);
-            EXPECT_EQ(got.swaps, want.swaps);
-            EXPECT_EQ(got.spread_before, want.spread_before);
-            EXPECT_EQ(got.spread_after, want.spread_after);
-            EXPECT_EQ(actual, expected);
             ++cases;
-            if (want.swaps > 0) {
+            if (ExpectMatchesDenseReference(dims, weights, nodes, initial,
+                                            max_swaps, restrict_to_dim) > 0) {
               ++(large ? swapped_targeted : swapped_all_pairs);
             }
           }
@@ -539,6 +549,91 @@ TEST(RebalanceTest, SparseClimbMatchesDenseReference) {
   // Both candidate paths must actually have climbed.
   EXPECT_GT(swapped_targeted, 10);
   EXPECT_GT(swapped_all_pairs, 10);
+}
+
+TEST(RebalanceTest, ScaleSetupShapeMatchesDenseReference) {
+  // MAGIC's directory on 500k correlated tuples over 128 processors: 289x288
+  // cells, weight on the diagonal plus a near-diagonal neighbour, tiled
+  // assignment. Both climbs MagicPartitioning::Create runs.
+  const std::vector<int> dims = {289, 288};
+  std::vector<int64_t> weights(static_cast<size_t>(dims[0]) * dims[1], 0);
+  for (int i = 0; i < dims[0]; ++i) {
+    const int j = i * dims[1] / dims[0];
+    weights[static_cast<size_t>(i) * dims[1] + j] = 1000 + 7 * (i % 13);
+    if (i % 5 < 2 && j + 1 < dims[1]) {
+      weights[static_cast<size_t>(i) * dims[1] + j + 1] = 500;
+    }
+  }
+  const auto tiled = TiledAssignment(dims, 128, {1.0, 1.0});
+  ASSERT_TRUE(tiled.ok());
+  for (const int restrict_to_dim : {1, -1}) {
+    SCOPED_TRACE(restrict_to_dim);
+    EXPECT_GT(ExpectMatchesDenseReference(dims, weights, 128, *tiled, 500,
+                                          restrict_to_dim),
+              40);
+  }
+}
+
+TEST(RebalanceTest, ThreeDimensionalClimbsRebuildCrossLines) {
+  // Unrestricted climbs over 3-D grids with one or two dimensions above
+  // the targeted-pair threshold: a swap along one dimension changes the
+  // owners of whole lines along the others, whose cached owner groups must
+  // be rebuilt before the next candidate scan.
+  RandomStream rng(20261018);
+  int swapped = 0;
+  for (const WeightShape shape :
+       {WeightShape::kSparse, WeightShape::kDiagonal,
+        WeightShape::kDuplicate}) {
+    for (const int large : {1, 2}) {
+      std::vector<int> dims = {static_cast<int>(rng.UniformInt(2, 5)),
+                               static_cast<int>(rng.UniformInt(2, 5)),
+                               static_cast<int>(rng.UniformInt(2, 5))};
+      std::vector<int> order = {0, 1, 2};
+      rng.Shuffle(&order);
+      for (int i = 0; i < large; ++i) {
+        dims[static_cast<size_t>(order[static_cast<size_t>(i)])] =
+            static_cast<int>(rng.UniformInt(49, 60));
+      }
+      const int nodes = static_cast<int>(rng.UniformInt(3, 20));
+      const auto weights = MakeWeights(dims, shape, &rng);
+      auto tiled =
+          TiledAssignment(dims, nodes, std::vector<double>(3, 1.0));
+      ASSERT_TRUE(tiled.ok());
+      for (const int max_swaps : {5, 10'000}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "shape " << static_cast<int>(shape) << " dims "
+                     << dims[0] << "x" << dims[1] << "x" << dims[2]
+                     << " max_swaps " << max_swaps);
+        swapped += ExpectMatchesDenseReference(dims, weights, nodes, *tiled,
+                                               max_swaps, -1) > 0;
+      }
+    }
+  }
+  EXPECT_GT(swapped, 6);
+}
+
+TEST(RebalanceTest, DuplicateWeightsMatchDenseReference) {
+  // Equal weights everywhere make load ties the rule: every candidate
+  // order and every strict comparison is exercised on ties.
+  RandomStream rng(7);
+  int swapped = 0;
+  for (const double density : {0.02, 0.3, 0.9}) {
+    for (const int restrict_to_dim : {-1, 0, 1}) {
+      const std::vector<int> dims = {static_cast<int>(rng.UniformInt(49, 80)),
+                                     static_cast<int>(rng.UniformInt(49, 80))};
+      std::vector<int64_t> weights(static_cast<size_t>(dims[0]) * dims[1]);
+      for (int64_t& w : weights) w = rng.Bernoulli(density) ? 5 : 0;
+      const int nodes = static_cast<int>(rng.UniformInt(2, 32));
+      std::vector<int> initial(weights.size());
+      for (int& a : initial) a = static_cast<int>(rng.UniformInt(0, nodes - 1));
+      SCOPED_TRACE(::testing::Message()
+                   << "density " << density << " restrict " << restrict_to_dim
+                   << " dims " << dims[0] << "x" << dims[1]);
+      swapped += ExpectMatchesDenseReference(dims, weights, nodes, initial, 25,
+                                             restrict_to_dim) > 0;
+    }
+  }
+  EXPECT_GT(swapped, 6);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 
 #include "src/common/random.h"
 #include "src/grid/grid_file.h"
+#include "src/workload/wisconsin.h"
+#include "tests/grid/dense_grid_reference.h"
 
 namespace declust::grid {
 namespace {
@@ -43,6 +45,7 @@ class GridFileProperty : public ::testing::TestWithParam<Param> {
     o.max_cells = 1 << 16;
     o.domain_lo.assign(static_cast<size_t>(p.dims), 0);
     o.domain_hi.assign(static_cast<size_t>(p.dims), kDomain);
+    options_ = o;
     grid_ = std::make_unique<GridFile>(p.dims, o);
 
     RandomStream rng(1234);
@@ -61,14 +64,100 @@ class GridFileProperty : public ::testing::TestWithParam<Param> {
     }
   }
 
+  GridFileOptions options_;
   std::unique_ptr<GridFile> grid_;
   std::vector<std::vector<Value>> points_;
 };
+
+// The grid file grows a slot-mapped directory and materializes it once; the
+// dense reference re-lays out the whole directory on every cut. Both must
+// end with the same scales, directory and bucket boxes.
+void ExpectMatchesDenseReference(const GridFile& grid,
+                                 const reference::DenseGridFile& want) {
+  for (int d = 0; d < grid.num_dims(); ++d) {
+    EXPECT_EQ(grid.scale(d).cuts(), want.scale(d).cuts()) << "dim " << d;
+  }
+  const GridDirectory& dir = grid.directory();
+  ASSERT_EQ(dir.dims(), want.directory().dims());
+  for (int64_t c = 0; c < dir.num_cells(); ++c) {
+    ASSERT_EQ(dir.bucket_at_index(c), want.directory().bucket_at_index(c))
+        << "cell " << c;
+  }
+  ASSERT_EQ(grid.num_buckets(), want.num_buckets());
+  for (int b = 0; b < grid.num_buckets(); ++b) {
+    EXPECT_EQ(grid.BucketBox(b), want.BucketBox(b)) << "bucket " << b;
+  }
+}
 
 TEST_P(GridFileProperty, StructuralInvariantsHold) {
   EXPECT_TRUE(grid_->Validate().ok());
   EXPECT_EQ(grid_->size(), kPoints);
   EXPECT_LE(grid_->directory().num_cells(), 1 << 16);
+}
+
+TEST_P(GridFileProperty, DirectoryAndBoxesMatchDenseReference) {
+  reference::DenseGridFile want(GetParam().dims, options_);
+  for (size_t i = 0; i < points_.size(); ++i) {
+    ASSERT_TRUE(
+        want.Insert(points_[i], static_cast<storage::RecordId>(i)).ok());
+  }
+  ExpectMatchesDenseReference(*grid_, want);
+}
+
+TEST(GridFileReferenceTest, CorrelatedHalfMillionMatchesDenseReference) {
+  // MAGIC's grid on 500k correlated Wisconsin tuples over 128 processors:
+  // fragment cardinality 48, equal split weights, the directory cap MAGIC
+  // derives (8x the ideal fragment count), 289x288 cells in the end.
+  workload::WisconsinOptions w;
+  w.cardinality = 500'000;
+  w.correlation = 1.0;
+  w.seed = 7;
+  const storage::Relation rel = workload::MakeWisconsin(w);
+  GridFileOptions o;
+  o.bucket_capacity = 48;
+  o.split_weights = {0.25, 0.25};
+  o.max_cells = 8 * w.cardinality / 48;
+  o.domain_lo = {0, 0};
+  o.domain_hi = {w.cardinality, w.cardinality};
+  GridFile got(2, o);
+  reference::DenseGridFile want(2, o);
+  for (int64_t i = 0; i < w.cardinality; ++i) {
+    const auto rid = static_cast<storage::RecordId>(i);
+    const std::vector<Value> point = {
+        rel.value(rid, workload::WisconsinAttrs::kUnique1),
+        rel.value(rid, workload::WisconsinAttrs::kUnique2)};
+    ASSERT_TRUE(got.Insert(point, rid).ok());
+    ASSERT_TRUE(want.Insert(point, rid).ok());
+  }
+  EXPECT_EQ(got.ShapeString(), "289x288");
+  ExpectMatchesDenseReference(got, want);
+}
+
+TEST_P(GridFileProperty, InterleavedReadsMatchDenseReference) {
+  // Reading the directory between inserts materializes it and releases the
+  // slot-mapped form; the next insert re-seeds it from the materialized
+  // directory. Growth must continue exactly as without the reads.
+  GridFile got(GetParam().dims, options_);
+  reference::DenseGridFile want(GetParam().dims, options_);
+  for (size_t i = 0; i < points_.size(); ++i) {
+    const auto rid = static_cast<storage::RecordId>(i);
+    ASSERT_TRUE(got.Insert(points_[i], rid).ok());
+    ASSERT_TRUE(want.Insert(points_[i], rid).ok());
+    if (i % 397 == 0) {
+      EXPECT_EQ(got.directory().dims(), want.directory().dims());
+    }
+  }
+  ExpectMatchesDenseReference(got, want);
+}
+
+TEST_P(GridFileProperty, CellOfPointRejectsWrongArity) {
+  const int k = GetParam().dims;
+  for (const int arity : {k - 1, k + 1}) {
+    const std::vector<Value> point(static_cast<size_t>(arity), 5);
+    const auto cell = grid_->CellOfPoint(point);
+    ASSERT_FALSE(cell.ok()) << "arity " << arity;
+    EXPECT_TRUE(cell.status().IsInvalidArgument());
+  }
 }
 
 TEST_P(GridFileProperty, EveryPointFindable) {
@@ -90,9 +179,23 @@ TEST_P(GridFileProperty, CellOfPointConsistentWithHistogram) {
   std::vector<int64_t> counted(
       static_cast<size_t>(grid_->directory().num_cells()), 0);
   for (const auto& pt : points_) {
-    ++counted[static_cast<size_t>(grid_->CellOfPoint(pt))];
+    const auto cell = grid_->CellOfPoint(pt);
+    ASSERT_TRUE(cell.ok());
+    ++counted[static_cast<size_t>(*cell)];
   }
   EXPECT_EQ(counted, grid_->CellHistogram());
+}
+
+TEST_P(GridFileProperty, ForEachEntryCellMatchesCellOfPoint) {
+  std::vector<int> visits(points_.size(), 0);
+  grid_->ForEachEntryCell([&](storage::RecordId rid, int64_t cell) {
+    ASSERT_LT(rid, points_.size());
+    ++visits[rid];
+    const auto want = grid_->CellOfPoint(points_[rid]);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(cell, *want) << "rid " << rid;
+  });
+  EXPECT_EQ(visits, std::vector<int>(points_.size(), 1));
 }
 
 TEST_P(GridFileProperty, BoxQueryFindsEverythingInBox) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
+#include "src/common/random.h"
+
 namespace declust::grid {
 namespace {
 
@@ -65,6 +71,28 @@ TEST(LinearScaleTest, SlicesOverlapping) {
   auto [c, d] = s.SlicesOverlapping(15, 15);
   EXPECT_EQ(c, 1);
   EXPECT_EQ(d, 1);
+}
+
+TEST(LinearScaleTest, SliceOfCountsCutsAtOrBelowTheValue) {
+  // The branch-free search against std::upper_bound on scales of every
+  // size up to 70 cuts, probing each cut, its neighbours and the extremes.
+  RandomStream rng(31);
+  for (int size = 0; size <= 70; ++size) {
+    LinearScale s;
+    while (static_cast<int>(s.cuts().size()) < size) {
+      (void)s.AddCut(rng.UniformInt(-500, 500));
+    }
+    const std::vector<Value>& cuts = s.cuts();
+    std::vector<Value> probes = {std::numeric_limits<Value>::min(),
+                                 std::numeric_limits<Value>::max(), -501,
+                                 501};
+    for (Value c : cuts) probes.insert(probes.end(), {c - 1, c, c + 1});
+    for (Value v : probes) {
+      const auto want = std::upper_bound(cuts.begin(), cuts.end(), v) -
+                        cuts.begin();
+      EXPECT_EQ(s.SliceOf(v), want) << "size " << size << " value " << v;
+    }
+  }
 }
 
 }  // namespace

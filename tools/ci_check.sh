@@ -22,8 +22,8 @@
 # jobs=4 identity cases of the recovery, resize, open and control sweeps),
 # then a Release build runs a differential smoke: the same quick sweeps —
 # one of them rebuilding a failed disk while slices migrate — serially and
-# with --jobs 4 must produce byte-identical output, and the calendar micro
-# benchmarks must run once. Before any build, a lint
+# with --jobs 4 must produce byte-identical output, and the calendar and
+# MAGIC-build micro benchmarks must run once. Before any build, a lint
 # rejects ASCII control bytes other than tab and newline in the tracked
 # files under src/, tests/, tools/, examples/ and bench/.
 #
@@ -124,7 +124,7 @@ cmake -S "$ROOT" -B "$SMOKE_DIR" \
   -DDECLUST_BUILD_BENCHMARKS=ON \
   -DDECLUST_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "$SMOKE_DIR" -j"$JOBS" --target run_experiment audit_sweep \
-  scale_test micro_sim_kernel
+  scale_test micro_sim_kernel micro_assignment micro_gridfile
 SMOKE_ARGS=(--strategies range,hash --mpls 4 --repeats 1 --cardinality 20000
             --processors 8 --warmup 500 --measure 2000)
 # Each variant is its extra arguments, '|'-separated.
@@ -186,6 +186,21 @@ echo "=== relsmoke: micro_sim_kernel calendar cases run ==="
 if ! "$SMOKE_DIR/bench/micro_sim_kernel" --benchmark_filter='BM_Calendar' \
     --benchmark_min_time=0.01; then
   echo "*** relsmoke: micro_sim_kernel calendar cases FAILED" >&2
+  FAILED=1
+fi
+# The MAGIC build cases (the scale_setup climbs, the whole
+# MagicPartitioning::Create on 500k correlated tuples and the correlated
+# grid-file bulk load) must run to completion; their times are not gated.
+echo "=== relsmoke: MAGIC build micro cases run ==="
+if ! "$SMOKE_DIR/bench/micro_assignment" \
+    --benchmark_filter='BM_RebalanceScaleSetup|BM_MagicCreateScaleSetup' \
+    --benchmark_min_time=0.01; then
+  echo "*** relsmoke: micro_assignment MAGIC build cases FAILED" >&2
+  FAILED=1
+fi
+if ! "$SMOKE_DIR/bench/micro_gridfile" \
+    --benchmark_filter='BM_GridInsertCorrelated' --benchmark_min_time=0.01; then
+  echo "*** relsmoke: micro_gridfile correlated insert case FAILED" >&2
   FAILED=1
 fi
 # audit_sweep's differential harness runs the same config through every
