@@ -19,10 +19,13 @@ class [[nodiscard]] Result {
   /// Constructs a Result holding a value (implicit, like arrow::Result).
   Result(T value) : repr_(std::move(value)) {}  // NOLINT(runtime/explicit)
 
-  /// Constructs a Result holding an error. `status` must not be OK.
-  Result(Status status) : repr_(std::move(status)) {  // NOLINT
-    assert(!std::get<Status>(repr_).ok());
-  }
+  /// Constructs a Result holding an error. An OK `status` is a caller bug;
+  /// it is stored as an Internal error (in every build type) so that
+  /// DECLUST_ASSIGN_OR_RETURN propagates a failure instead of returning OK
+  /// with its target never assigned.
+  Result(Status status)  // NOLINT(runtime/explicit)
+      : repr_(status.ok() ? Status::Internal("Result built from an OK Status")
+                          : std::move(status)) {}
 
   bool ok() const { return std::holds_alternative<T>(repr_); }
 

@@ -34,11 +34,16 @@ const char* CodeName(Status::Code code) {
 
 }  // namespace
 
+const std::string& Status::message() const {
+  static const std::string kEmpty;
+  return ok() ? kEmpty : state_->message;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
-  std::string out = CodeName(code_);
+  std::string out = CodeName(state_->code);
   out += ": ";
-  out += message_;
+  out += state_->message;
   return out;
 }
 

@@ -3,6 +3,7 @@
 // result.h); callers must inspect the returned object.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -12,7 +13,12 @@ namespace declust {
 /// \brief Outcome of an operation that can fail.
 ///
 /// A default-constructed Status is OK. Non-OK statuses carry a code and a
-/// human-readable message. Status is cheap to move and to test for success.
+/// human-readable message. As in Arrow, a Status is one pointer: null means
+/// OK, and an error owns a heap State holding its code and message. So the
+/// happy path builds nothing, every coroutine frame, awaiter and promise
+/// that holds a Status pays one word for it, and each non-OK status costs
+/// one allocation. Copying an error deep-copies its State; a move steals
+/// it and leaves the source OK.
 class [[nodiscard]] Status {
  public:
   enum class Code {
@@ -30,7 +36,17 @@ class [[nodiscard]] Status {
   };
 
   /// Constructs an OK status.
-  Status() = default;
+  Status() noexcept = default;
+  Status(const Status& other)
+      : state_(other.ok() ? nullptr : new State(*other.state_)) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      state_.reset(other.ok() ? nullptr : new State(*other.state_));
+    }
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string_view msg) {
@@ -68,35 +84,43 @@ class [[nodiscard]] Status {
     return Status(Code::kDeadlineExceeded, msg);
   }
 
-  bool ok() const { return code_ == Code::kOk; }
-  Code code() const { return code_; }
+  bool ok() const { return state_ == nullptr; }
+  Code code() const { return ok() ? Code::kOk : state_->code; }
   /// Message associated with a non-OK status; empty for OK.
-  const std::string& message() const { return message_; }
+  const std::string& message() const;
 
   /// "OK" or "<code>: <message>" for diagnostics.
   std::string ToString() const;
 
-  bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }
-  bool IsNotFound() const { return code_ == Code::kNotFound; }
-  bool IsAlreadyExists() const { return code_ == Code::kAlreadyExists; }
-  bool IsOutOfRange() const { return code_ == Code::kOutOfRange; }
+  bool IsInvalidArgument() const { return code() == Code::kInvalidArgument; }
+  bool IsNotFound() const { return code() == Code::kNotFound; }
+  bool IsAlreadyExists() const { return code() == Code::kAlreadyExists; }
+  bool IsOutOfRange() const { return code() == Code::kOutOfRange; }
   bool IsFailedPrecondition() const {
-    return code_ == Code::kFailedPrecondition;
+    return code() == Code::kFailedPrecondition;
   }
-  bool IsInternal() const { return code_ == Code::kInternal; }
-  bool IsNotSupported() const { return code_ == Code::kNotSupported; }
-  bool IsUnavailable() const { return code_ == Code::kUnavailable; }
-  bool IsIoError() const { return code_ == Code::kIoError; }
+  bool IsInternal() const { return code() == Code::kInternal; }
+  bool IsNotSupported() const { return code() == Code::kNotSupported; }
+  bool IsUnavailable() const { return code() == Code::kUnavailable; }
+  bool IsIoError() const { return code() == Code::kIoError; }
   bool IsDeadlineExceeded() const {
-    return code_ == Code::kDeadlineExceeded;
+    return code() == Code::kDeadlineExceeded;
   }
 
  private:
-  Status(Code code, std::string_view msg) : code_(code), message_(msg) {}
+  struct State {
+    Code code;
+    std::string message;
+  };
 
-  Code code_ = Code::kOk;
-  std::string message_;
+  Status(Code code, std::string_view msg)
+      : state_(new State{code, std::string(msg)}) {}
+
+  std::unique_ptr<State> state_;
 };
+
+static_assert(sizeof(Status) == sizeof(void*),
+              "a Status is one pointer: null for OK, else its State");
 
 /// Propagates a non-OK status to the caller.
 #define DECLUST_RETURN_NOT_OK(expr)               \

@@ -18,10 +18,10 @@ namespace {
 // failed Result).
 Status DescentPages(const storage::Extent& extent, int64_t height,
                     int64_t leaf_index, const storage::DiskLayout& layout,
-                    std::pmr::vector<hw::PageAddress>* out) {
+                    AccessPlan* out) {
   if (extent.num_pages == 0) return Status::OK();
-  // Plans size their lists exactly: a pooled plan holds only its own pages.
-  out->reserve(out->size() + static_cast<size_t>(height));
+  // Plans size their lists exactly: a site's plan holds only its own pages.
+  out->ReservePages(static_cast<size_t>(height));
   for (int64_t level = 0; level < height; ++level) {
     int64_t page;
     if (level == 0) {
@@ -34,7 +34,7 @@ Status DescentPages(const storage::Extent& extent, int64_t height,
                       1 + (leaf_index / (level + 1)) % extent.num_pages);
     }
     DECLUST_ASSIGN_OR_RETURN(auto addr, layout.Resolve(extent, page));
-    out->push_back(addr);
+    out->AddIndexPage(addr);
   }
   return Status::OK();
 }
@@ -195,7 +195,7 @@ Status FragmentStore::ClusteredAccessInto(Value lo, Value hi,
       1, clustered_b.size() / std::max<int64_t>(1, clustered_b.leaf_count()));
   DECLUST_RETURN_NOT_OK(DescentPages(index_b_extent_, clustered_b.height(),
                                      first_pos / avg_per_leaf_b, layout,
-                                     &out->index_pages));
+                                     out));
   if (range.count > 0) {
     // Qualifying tuples are contiguous in clustered order: one sequential
     // run of pages, however wide the range.
@@ -221,28 +221,8 @@ Status FragmentStore::NonClusteredAccessInto(Value lo, Value hi,
   nonclustered_a.RangeSearchInto(lo, hi, &entries);
   out->tuples = static_cast<int64_t>(entries.size());
 
-  // Descent plus any extra leaves the range spans.
-  const int64_t avg_per_leaf = std::max<int64_t>(
-      1, nonclustered_a.size() /
-             std::max<int64_t>(1, nonclustered_a.leaf_count()));
-  const int64_t extra_leaves = nonclustered_a.LeafPagesTouched(lo, hi) - 1;
-  out->index_pages.reserve(static_cast<size_t>(
-      nonclustered_a.height() + std::max<int64_t>(0, extra_leaves)));
-  DECLUST_RETURN_NOT_OK(
-      DescentPages(index_a_extent_, nonclustered_a.height(),
-                   (entries.empty() ? 0 : entries.front().key) / avg_per_leaf,
-                   layout, &out->index_pages));
-  for (int64_t l = 0; l < extra_leaves; ++l) {
-    DECLUST_ASSIGN_OR_RETURN(
-        auto addr,
-        layout.Resolve(index_a_extent_,
-                       std::min<int64_t>(index_a_extent_.num_pages - 1,
-                                         1 + l)));
-    out->index_pages.push_back(addr);
-  }
-
   // One random data page per distinct page of a qualifying tuple, read in
-  // ascending page order.
+  // ascending page order after the index pages.
   std::vector<int64_t>& pages = scratch->pages;
   pages.clear();
   for (const auto& e : entries) {
@@ -250,10 +230,30 @@ Status FragmentStore::NonClusteredAccessInto(Value lo, Value hi,
   }
   std::sort(pages.begin(), pages.end());
   pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-  out->data_pages.reserve(pages.size());
+
+  // Descent plus any extra leaves the range spans.
+  const int64_t avg_per_leaf = std::max<int64_t>(
+      1, nonclustered_a.size() /
+             std::max<int64_t>(1, nonclustered_a.leaf_count()));
+  const int64_t extra_leaves = nonclustered_a.LeafPagesTouched(lo, hi) - 1;
+  out->ReservePages(static_cast<size_t>(
+      nonclustered_a.height() + std::max<int64_t>(0, extra_leaves) +
+      static_cast<int64_t>(pages.size())));
+  DECLUST_RETURN_NOT_OK(
+      DescentPages(index_a_extent_, nonclustered_a.height(),
+                   (entries.empty() ? 0 : entries.front().key) / avg_per_leaf,
+                   layout, out));
+  for (int64_t l = 0; l < extra_leaves; ++l) {
+    DECLUST_ASSIGN_OR_RETURN(
+        auto addr,
+        layout.Resolve(index_a_extent_,
+                       std::min<int64_t>(index_a_extent_.num_pages - 1,
+                                         1 + l)));
+    out->AddIndexPage(addr);
+  }
   for (int64_t p : pages) {
     DECLUST_ASSIGN_OR_RETURN(auto addr, layout.Resolve(data_extent_, p));
-    out->data_pages.push_back(addr);
+    out->AddDataPage(addr);
   }
   return Status::OK();
 }
@@ -473,15 +473,15 @@ Status SystemCatalog::PlanAuxAccessInto(int node, const Predicate& q,
   const auto cost = berd_->AuxCost(node, q.lo, q.hi);
   const auto& layout = *layout_refs_[static_cast<size_t>(OwnerOf(node))];
   const auto& extent = aux_extents_[static_cast<size_t>(node)];
-  out->index_pages.reserve(static_cast<size_t>(
+  out->ReservePages(static_cast<size_t>(
       cost.index_pages + std::max<int64_t>(0, cost.leaf_pages - 1)));
   DECLUST_RETURN_NOT_OK(
-      DescentPages(extent, cost.index_pages, 0, layout, &out->index_pages));
+      DescentPages(extent, cost.index_pages, 0, layout, out));
   for (int64_t l = 1; l < cost.leaf_pages; ++l) {
     DECLUST_ASSIGN_OR_RETURN(
         auto addr,
         layout.Resolve(extent, std::min<int64_t>(extent.num_pages - 1, l)));
-    out->index_pages.push_back(addr);
+    out->AddIndexPage(addr);
   }
   out->tuples = cost.entries;
   return Status::OK();
@@ -520,15 +520,15 @@ Status SystemCatalog::PlanBackupAuxAccessInto(int failed_node,
   const auto cost = berd_->AuxCost(failed_node, q.lo, q.hi);
   const auto& layout = *layout_refs_[static_cast<size_t>(backup)];
   const auto& extent = aux_backup_extents_[static_cast<size_t>(failed_node)];
-  out->index_pages.reserve(static_cast<size_t>(
+  out->ReservePages(static_cast<size_t>(
       cost.index_pages + std::max<int64_t>(0, cost.leaf_pages - 1)));
   DECLUST_RETURN_NOT_OK(
-      DescentPages(extent, cost.index_pages, 0, layout, &out->index_pages));
+      DescentPages(extent, cost.index_pages, 0, layout, out));
   for (int64_t l = 1; l < cost.leaf_pages; ++l) {
     DECLUST_ASSIGN_OR_RETURN(
         auto addr,
         layout.Resolve(extent, std::min<int64_t>(extent.num_pages - 1, l)));
-    out->index_pages.push_back(addr);
+    out->AddIndexPage(addr);
   }
   out->tuples = cost.entries;
   return Status::OK();

@@ -44,16 +44,36 @@ using storage::Value;
 /// \brief Pages one operator must read at one node, in read order.
 struct AccessPlan {
   AccessPlan() = default;
-  /// A plan whose page lists draw their storage from `pages` (the engine's
-  /// pooled plans share one pool, so an idle plan holds no pages).
+  /// A plan whose page lists draw their storage from `pages` (an engine
+  /// site's plan lives on its frame and draws from the simulation's pooled
+  /// process memory, so the lists recycle blocks without touching the heap).
   explicit AccessPlan(std::pmr::memory_resource* pages)
-      : index_pages(pages), data_pages(pages), data_runs(pages) {}
+      : data_runs(pages), pages_(pages) {}
 
+  /// The explicit pages in read order: the index pages, then the data
+  /// pages (the runs follow them).
+  std::span<const hw::PageAddress> pages() const { return pages_; }
   /// Physical index pages (random reads: B-tree descent, then leaves).
-  std::pmr::vector<hw::PageAddress> index_pages;
+  std::span<const hw::PageAddress> index_pages() const {
+    return std::span<const hw::PageAddress>(pages_).first(index_count_);
+  }
   /// Physical data pages read individually (non-clustered access: one
   /// random page per qualifying tuple's page).
-  std::pmr::vector<hw::PageAddress> data_pages;
+  std::span<const hw::PageAddress> data_pages() const {
+    return std::span<const hw::PageAddress>(pages_).subspan(index_count_);
+  }
+  /// Appends an index page: after the index pages already added, before
+  /// every data page.
+  void AddIndexPage(hw::PageAddress page) {
+    pages_.insert(pages_.begin() + static_cast<std::ptrdiff_t>(index_count_),
+                  page);
+    ++index_count_;
+  }
+  void AddDataPage(hw::PageAddress page) { pages_.push_back(page); }
+  /// Makes room for `n` more pages of either kind, exactly, so a plan holds
+  /// only its own pages.
+  void ReservePages(size_t n) { pages_.reserve(pages_.size() + n); }
+
   /// Contiguous data-page ranges (clustered/scan access). One entry covers
   /// an arbitrarily long sequential read, so a full-table scan's plan is
   /// O(extents), not O(pages). The read path expands runs arithmetically
@@ -65,7 +85,7 @@ struct AccessPlan {
 
   /// Data pages across both representations.
   int64_t data_page_count() const {
-    int64_t n = static_cast<int64_t>(data_pages.size());
+    int64_t n = static_cast<int64_t>(data_pages().size());
     for (const auto& run : data_runs) n += run.count;
     return n;
   }
@@ -75,20 +95,26 @@ struct AccessPlan {
   /// two, so the order matches the pre-run per-page plans exactly).
   template <typename Fn>
   void ForEachDataPage(Fn&& fn) const {
-    for (const auto& page : data_pages) fn(page);
+    for (const auto& page : data_pages()) fn(page);
     for (const auto& run : data_runs) {
       for (int64_t i = 0; i < run.count; ++i) fn(run.At(i));
     }
   }
 
-  /// Empties the plan but keeps the vectors' capacity, so a pooled plan
-  /// object stops allocating once it has warmed to the working-set size.
+  /// Empties the plan but keeps the lists' capacity, so a reused plan
+  /// stops allocating once it has warmed to the working-set size.
   void clear() {
-    index_pages.clear();
-    data_pages.clear();
+    pages_.clear();
+    index_count_ = 0;
     data_runs.clear();
     tuples = 0;
   }
+
+ private:
+  /// The index pages, then the data pages: one list (and one resource
+  /// pointer) for both, which keeps a site's frame small.
+  std::pmr::vector<hw::PageAddress> pages_;
+  size_t index_count_ = 0;
 };
 
 /// \brief Reusable scratch for plan construction. Plan building is

@@ -12,21 +12,13 @@ namespace declust::engine {
 
 namespace {
 
-// A site's spans nest one level under its query's span, and the open one is
-// kept as the site handle's current span rather than in the site's frame.
-// Opens `name` and makes it current (a no-op without a tracer).
-void PushSpan(obs::QueryObs* sq, const char* name, obs::Component component,
-              int node, double now) {
-  const uint64_t id = obs::BeginSpan(sq, name, component, node, now);
-  if (id != 0) sq->span = id;
-}
-
-// Closes the span PushSpan opened, back to the query's span.
-void PopSpan(obs::QueryObs* sq, const obs::QueryObs* query, double now) {
-  if (sq != nullptr && sq->span != query->span) {
-    obs::EndSpan(sq, sq->span, now);
-    sq->span = query->span;
-  }
+// Bytes of a site's done message: an aux site's reply carries the processor
+// list (8 bytes per qualifying entry), up to one packet. Computed outside the
+// site's coroutine, whose frame would otherwise hold std::min's temporaries.
+int DoneMessageBytes(const hw::HwParams& hw, bool aux, int64_t tuples) {
+  if (!aux) return hw.control_message_bytes;
+  return static_cast<int>(std::min<int64_t>(
+      hw.max_packet_bytes, hw.control_message_bytes + 8 * tuples));
 }
 
 }  // namespace
@@ -178,26 +170,6 @@ bool System::SiteUp(int node) {
   return (config_.recovery == nullptr ||
           config_.recovery->ServingPrimary(node)) &&
          (config_.resize == nullptr || config_.resize->NodeServing(node));
-}
-
-AccessPlan* System::AcquirePlan() {
-  if (!plan_free_.empty()) {
-    AccessPlan* p = plan_free_.back();
-    plan_free_.pop_back();
-    return p;
-  }
-  plan_storage_.push_back(std::make_unique<AccessPlan>(&page_lists_));
-  return plan_storage_.back().get();
-}
-
-void System::ReleasePlan(AccessPlan* plan) {
-  // Every in-flight site holds a plan, so a plan holds only the pages of
-  // its own site: release hands its lists' blocks back to the pool, where
-  // the next site's plan of any shape draws them again. The pool keeps
-  // every block, so the steady state stays heap-silent
-  // (tests/sim/alloc_count_test.cc).
-  *plan = AccessPlan(&page_lists_);
-  plan_free_.push_back(plan);
 }
 
 System::QueryScratch* System::AcquireScratch() {
@@ -454,22 +426,23 @@ sim::Task<> System::RunSite(QueryContext* ctx, sim::JoinCounter* join,
   if (config_.audit != nullptr) config_.audit->OnSiteDispatched(slice);
 
   // Scheduler-side work to activate this site.
-  PushSpan(sq, "site.activate", obs::Component::kScheduler, ctx->coord,
-           sim_->now());
+  obs::PushSpan(sq, "site.activate", obs::Component::kScheduler, ctx->coord,
+                sim_->now());
   obs::ArmHw(sq);
   Status st = co_await machine_->node(ctx->coord).cpu().Run(
       config_.costs.per_site_sched_instructions);
-  PopSpan(sq, ctx->qo, sim_->now());
+  obs::PopSpan(sq, sq != nullptr ? ctx->qo->span : 0, sim_->now());
 
   SiteRead read = SiteRead::kPrimary;
   int exec = -1;
+  AccessPlan plan(sim_->process_memory());
   if (st.ok()) {
     // Owner resolved at dispatch time: under an elastic plan the slice may
     // live on any member (OwnerOf is the identity otherwise).
     if (config_.resize != nullptr) metrics_.RecordSliceAccess(slice);
     exec = bindings_[static_cast<size_t>(ctx->rel)].catalog->OwnerOf(slice);
     if (!SiteUp(exec)) {
-      // Built only here: the message would heap-allocate on every select.
+      // Built only here: every non-OK Status allocates its State.
       st = Status::Unavailable(kind == SiteKind::kAux ? "primary aux site down"
                                                       : "primary site down");
       exec = NextSiteNode(*ctx, kind, slice, exec, &read, &st);
@@ -477,16 +450,15 @@ sim::Task<> System::RunSite(QueryContext* ctx, sim::JoinCounter* join,
   }
 
   while (exec >= 0) {
-    PushSpan(sq, kind == SiteKind::kAux ? "site.aux" : "site",
-             obs::Component::kQuery, exec, sim_->now());
-    AccessPlan* plan = AcquirePlan();
+    obs::PushSpan(sq, kind == SiteKind::kAux ? "site.aux" : "site",
+                  obs::Component::kQuery, exec, sim_->now());
     if (config_.resize != nullptr) config_.resize->OnSiteExecBegin(exec);
     // The plan is built before the first await: a migration epoch flip
     // cannot land between the owner resolution and here, so the page
     // addresses always match the copy `exec` actually hosts (the old extents
     // stay valid through the flip — they are abandoned, never invalidated —
     // so reads planned pre-flip drain safely).
-    st = BuildSitePlan(*ctx, kind, slice, read == SiteRead::kBackup, plan);
+    st = BuildSitePlan(*ctx, kind, slice, read == SiteRead::kBackup, &plan);
     if (st.ok()) {
       st = co_await DeliverMessage(sim_, &machine_->network(), ctx->coord,
                                    exec, config_.hw.control_message_bytes, sq);
@@ -495,7 +467,7 @@ sim::Task<> System::RunSite(QueryContext* ctx, sim::JoinCounter* join,
       // The operator runs with the node's resources; results flow back to
       // the query's scheduler.
       st = co_await RunSelect(
-          &machine_->node(exec), *plan, ctx->coord, config_.costs,
+          &machine_->node(exec), plan, ctx->coord, config_.costs,
           kind == SiteKind::kAux || pools_.empty()
               ? nullptr
               : pools_[static_cast<size_t>(exec)].get(),
@@ -503,21 +475,15 @@ sim::Task<> System::RunSite(QueryContext* ctx, sim::JoinCounter* join,
           kind == SiteKind::kAux ? SelectKind::kAuxLookup : SelectKind::kData);
     }
     if (st.ok()) {
-      // Done message back to the scheduler. An aux site's reply carries the
-      // processor list (8 bytes per qualifying entry) and is not charged to
-      // the query.
+      // Done message back to the scheduler; an aux site's reply is not
+      // charged to the query.
       st = co_await DeliverMessage(
           sim_, &machine_->network(), exec, ctx->coord,
-          kind == SiteKind::kAux
-              ? static_cast<int>(std::min<int64_t>(
-                    config_.hw.max_packet_bytes,
-                    config_.hw.control_message_bytes + 8 * plan->tuples))
-              : config_.hw.control_message_bytes,
+          DoneMessageBytes(config_.hw, kind == SiteKind::kAux, plan.tuples),
           kind == SiteKind::kAux ? nullptr : sq);
     }
     if (config_.resize != nullptr) config_.resize->OnSiteExecEnd(exec);
-    ReleasePlan(plan);
-    PopSpan(sq, ctx->qo, sim_->now());
+    obs::PopSpan(sq, sq != nullptr ? ctx->qo->span : 0, sim_->now());
 
     if (st.ok()) {
       ReportServe(*ctx, kind, slice, site_idx, exec, read);

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <memory>
-#include <memory_resource>
 #include <vector>
 
 #include "src/audit/audit.h"
@@ -190,12 +189,6 @@ class System {
     decluster::PlanSites sites;
   };
 
-  /// Pooled AccessPlan storage: sites of concurrent queries interleave, so
-  /// each in-flight site execution borrows one plan object and returns it
-  /// when done. A released plan returns its page lists to page_lists_.
-  AccessPlan* AcquirePlan();
-  void ReleasePlan(AccessPlan* plan);
-
   sim::Task<> TerminalLoop(RandomStream rng);
   /// Open-system driver: Poisson arrivals at the plan's (time-varying)
   /// rate plus burst spikes; redraws the exponential gap at every schedule
@@ -230,11 +223,12 @@ class System {
   /// One data or aux site of `ctx`'s query: activation at the scheduler,
   /// then the select at the slice's owner (control message in, RunSelect,
   /// done message back), all in this one frame, so a site parked on its
-  /// disk holds just this frame and RunSelect's. A failed attempt moves on
-  /// to the node NextSiteNode picks. `slice` is the partitioning fragment
-  /// id; the node that executes it is resolved at dispatch time (the
-  /// identity without an elastic plan). `site_idx` indexes ctx->serving
-  /// (data sites only).
+  /// disk holds just this frame and RunSelect's. The site's plan lives on
+  /// the frame too; its page lists draw from the simulation's process
+  /// memory. A failed attempt moves on to the node NextSiteNode picks.
+  /// `slice` is the partitioning fragment id; the node that executes it is
+  /// resolved at dispatch time (the identity without an elastic plan).
+  /// `site_idx` indexes ctx->serving (data sites only).
   ///
   /// With a probe, the site gets its own QueryObs (sharing the query id and
   /// parent span) whose costs are merged into the query's before the join
@@ -273,12 +267,6 @@ class System {
   std::unique_ptr<SystemCatalog> catalog_;
   std::unique_ptr<workload::QueryGenerator> querygen_;
   std::vector<std::unique_ptr<BufferPool>> pools_;  // empty when disabled
-  /// Page-list blocks of the in-flight plans (declared before the plans).
-  /// A list above the largest pooled block (4 KiB with libstdc++'s default
-  /// options: 512 pages) comes from the heap on each use.
-  std::pmr::unsynchronized_pool_resource page_lists_;
-  std::vector<std::unique_ptr<AccessPlan>> plan_storage_;
-  std::vector<AccessPlan*> plan_free_;
   Metrics metrics_;
 
   /// Per-relation planning state; [0] aliases catalog_/partitioning_, the

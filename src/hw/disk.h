@@ -101,7 +101,10 @@ class Disk {
   /// Reads one page; resumes the caller when the page is in the SCSI FIFO.
   /// The co_await yields a Status: OK, Unavailable (disk/node down), or
   /// IoError (injected transient error; retrying may succeed).
-  Awaiter Read(PageAddress page) { return Awaiter{this, page, false, Status::OK()}; }
+  /// The page is taken by reference, so an awaiting frame keeps no copy.
+  Awaiter Read(const PageAddress& page) {
+    return Awaiter{this, page, false, Status::OK()};
+  }
 
   /// Writes one page.
   Awaiter Write(PageAddress page) { return Awaiter{this, page, true, Status::OK()}; }

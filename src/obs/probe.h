@@ -171,6 +171,24 @@ inline void EndSpan(QueryObs* qo, uint64_t id, double now) {
   qo->probe->tracer()->EndSpan(id, now);
 }
 
+/// Opens `name` as a child of `qo->span` and makes it the current span, so
+/// a nested span is kept on the handle rather than in the caller's
+/// coroutine frame (a no-op without a tracer).
+inline void PushSpan(QueryObs* qo, const char* name, Component component,
+                     int node, double now) {
+  const uint64_t id = BeginSpan(qo, name, component, node, now);
+  if (id != 0) qo->span = id;
+}
+
+/// Closes the span PushSpan made current, back to its parent span `parent`
+/// (a no-op when `qo` is null or `parent` is already current).
+inline void PopSpan(QueryObs* qo, uint64_t parent, double now) {
+  if (qo != nullptr && qo->span != parent) {
+    EndSpan(qo, qo->span, now);
+    qo->span = parent;
+  }
+}
+
 /// Records a closed child span of `qo->span` (null-safe).
 inline void CompleteSpan(QueryObs* qo, const char* name, Component component,
                          int node, double begin, double end) {

@@ -27,7 +27,7 @@ void ReleaseDetachedFrame(Simulation* sim, PromiseBase& promise,
 
 Simulation::~Simulation() {
   draining_ = true;
-  // Destroy still-suspended detached processes in spawn order. Destroying a
+  // Destroy still-suspended detached processes, newest first. Destroying a
   // frame runs the destructors of its locals (e.g. resource guards);
   // draining_ suppresses any wake-ups those destructors would otherwise
   // schedule. Pending callback events are destroyed by the slots_ vector's
@@ -36,7 +36,9 @@ Simulation::~Simulation() {
   detail::PromiseBase* p = detached_head_;
   while (p != nullptr) {
     detail::PromiseBase* next = p->det_next;
-    p->self.destroy();
+    std::coroutine_handle<Task<>::promise_type>::from_promise(
+        static_cast<Task<>::promise_type&>(*p))
+        .destroy();
     p = next;
   }
 }
@@ -46,7 +48,6 @@ void Simulation::Spawn(Task<> task, SimTime delay) {
   auto h = task.Release();
   detail::PromiseBase& p = h.promise();
   p.detached_owner = this;
-  p.self = h;
   p.det_next = detached_head_;
   if (detached_head_ != nullptr) detached_head_->det_prev = &p;
   detached_head_ = &p;

@@ -29,6 +29,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <memory_resource>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -198,6 +199,14 @@ class Simulation {
   /// Starts a detached process after `delay` ms. The simulation owns the
   /// coroutine frame from this point on.
   void Spawn(Task<> task, SimTime delay = 0.0);
+
+  /// Pooled memory for the buffers that process frames own (an engine
+  /// site's page lists). It outlives every frame, since teardown destroys
+  /// the still-suspended processes first, and it keeps freed blocks, so
+  /// steady-state process churn recycles them without touching the heap.
+  /// A block above the largest pooled size (4 KiB with libstdc++'s default
+  /// options) comes from the heap on each use.
+  std::pmr::memory_resource* process_memory() { return &process_memory_; }
 
   /// Schedules `fn` (any void() callable) to run at absolute time `at`
   /// (>= now). Callables up to detail::SmallFn::kInlineBytes are stored
@@ -392,8 +401,9 @@ class Simulation {
   std::vector<EventSlot> slots_;
   uint32_t free_head_ = kNoSlot;
   /// Detached (spawned) processes, linked intrusively through their
-  /// promises in spawn order; teardown destroys any still suspended.
+  /// promises, newest first; teardown destroys any still suspended.
   detail::PromiseBase* detached_head_ = nullptr;
+  std::pmr::unsynchronized_pool_resource process_memory_;
 };
 
 }  // namespace declust::sim

@@ -36,15 +36,13 @@ struct PromiseBase {
   /// Coroutine to resume when this task completes (awaiting parent).
   std::coroutine_handle<> continuation;
   /// Set for detached (spawned) tasks so the Simulation can reclaim the
-  /// frame on completion.
+  /// frame on completion. Only a Task<> is spawned, so the registry entry is
+  /// a Task<>::promise_type and its handle is recovered with from_promise.
   Simulation* detached_owner = nullptr;
   /// Intrusive links in the owning Simulation's detached-process registry
-  /// (teardown walks the list in spawn order; no per-spawn allocation).
+  /// (newest first, the order teardown walks; no per-spawn allocation).
   PromiseBase* det_prev = nullptr;
   PromiseBase* det_next = nullptr;
-  /// The frame's own handle, stored by Spawn so teardown can destroy the
-  /// frame from the type-erased registry entry.
-  std::coroutine_handle<> self;
 
   static void* operator new(size_t n) { return FrameCache::Allocate(n); }
   static void operator delete(void* p, size_t n) {

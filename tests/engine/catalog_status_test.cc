@@ -138,7 +138,7 @@ TEST(CatalogMemoryTest, BackupStoresShareIndexContent) {
         backed.catalog->PlanBackupAccess(n, {1, 0, 5000}).ValueOrDie();
     EXPECT_EQ(p.tuples, b.tuples);
     EXPECT_EQ(p.data_page_count(), b.data_page_count());
-    EXPECT_EQ(p.index_pages.size(), b.index_pages.size());
+    EXPECT_EQ(p.index_pages().size(), b.index_pages().size());
   }
 }
 
@@ -169,8 +169,8 @@ TEST(CatalogBuildTest, ParallelBuildIsByteIdenticalToSerial) {
 
     // Resolved plan addresses (index descent + data pages) agree too.
     const auto expand = [](const AccessPlan& plan) {
-      std::vector<hw::PageAddress> pages(plan.index_pages.begin(),
-                                         plan.index_pages.end());
+      std::vector<hw::PageAddress> pages(plan.index_pages().begin(),
+                                         plan.index_pages().end());
       plan.ForEachDataPage([&](hw::PageAddress a) { pages.push_back(a); });
       return pages;
     };

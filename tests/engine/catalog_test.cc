@@ -95,10 +95,10 @@ TEST(CatalogTest, ClusteredAccessIsSequentialAndComplete) {
     const auto plan = f.catalog->PlanAccess(n, {1, 2000, 2299}).ValueOrDie();
     found += plan.tuples;
     // Index descent pages present.
-    EXPECT_GE(plan.index_pages.size(), 1u);
+    EXPECT_GE(plan.index_pages().size(), 1u);
     // Clustered access is one contiguous range: a single run entry, no
     // per-page list, and the expanded addresses are physically consecutive.
-    EXPECT_TRUE(plan.data_pages.empty());
+    EXPECT_TRUE(plan.data_pages().empty());
     EXPECT_LE(plan.data_runs.size(), 1u);
     const auto pages = ExpandDataPages(plan);
     for (size_t i = 1; i < pages.size(); ++i) {
@@ -122,7 +122,7 @@ TEST(CatalogTest, NonClusteredAccessFindsAllTuples) {
   for (int n = 0; n < 8; ++n) {
     const auto plan = f.catalog->PlanAccess(n, {0, 1000, 1029}).ValueOrDie();
     found += plan.tuples;
-    data_pages += static_cast<int64_t>(plan.data_pages.size());
+    data_pages += static_cast<int64_t>(plan.data_pages().size());
   }
   EXPECT_EQ(found, 30);
   // Non-clustered: roughly one random data page per tuple.
@@ -135,8 +135,8 @@ TEST(CatalogTest, EmptyResultStillDescendsIndex) {
   // A query whose range has no tuples at most nodes still reads the index.
   const auto plan = f.catalog->PlanAccess(7, {0, 0, 0}).ValueOrDie();
   EXPECT_EQ(plan.tuples, 0);
-  EXPECT_GE(plan.index_pages.size(), 1u);
-  EXPECT_TRUE(plan.data_pages.empty());
+  EXPECT_GE(plan.index_pages().size(), 1u);
+  EXPECT_TRUE(plan.data_pages().empty());
 }
 
 TEST(CatalogTest, ExactMatchReadsOneDataPage) {
@@ -146,7 +146,7 @@ TEST(CatalogTest, ExactMatchReadsOneDataPage) {
   for (int n = 0; n < 8; ++n) {
     const auto plan = f.catalog->PlanAccess(n, {0, 5555, 5555}).ValueOrDie();
     found += plan.tuples;
-    total_pages += static_cast<int64_t>(plan.data_pages.size());
+    total_pages += static_cast<int64_t>(plan.data_pages().size());
   }
   EXPECT_EQ(found, 1);
   EXPECT_EQ(total_pages, 1);
@@ -158,8 +158,8 @@ TEST(CatalogTest, ScanAccessReadsWholeFragmentSequentially) {
                                           /*sequential_scan=*/true).ValueOrDie();
   // No index pages; every data page of the fragment as one run entry (the
   // plan is O(extents), not O(pages)), expanding to physical order.
-  EXPECT_TRUE(plan.index_pages.empty());
-  EXPECT_TRUE(plan.data_pages.empty());
+  EXPECT_TRUE(plan.index_pages().empty());
+  EXPECT_TRUE(plan.data_pages().empty());
   EXPECT_EQ(plan.data_runs.size(), 1u);
   EXPECT_EQ(plan.data_page_count(), f.catalog->store(0).data_pages());
   const auto pages = ExpandDataPages(plan);
@@ -190,7 +190,7 @@ TEST(CatalogTest, ScanAccessCountsOnEitherAttribute) {
 TEST(CatalogTest, AuxPlanEmptyForNonBerd) {
   Fixture f;
   const auto plan = f.catalog->PlanAuxAccess(0, {1, 0, 100}).ValueOrDie();
-  EXPECT_TRUE(plan.index_pages.empty());
+  EXPECT_TRUE(plan.index_pages().empty());
   EXPECT_EQ(plan.tuples, 0);
 }
 

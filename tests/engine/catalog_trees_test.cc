@@ -5,6 +5,7 @@
 // A set built from other inputs must be refused with a Status.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,8 +74,8 @@ void ExpectSamePlan(const Result<AccessPlan>& a, const Result<AccessPlan>& b,
   ASSERT_EQ(a.ok(), b.ok()) << what;
   if (!a.ok()) return;
   EXPECT_EQ(a->tuples, b->tuples) << what;
-  EXPECT_TRUE(a->index_pages == b->index_pages) << what;
-  EXPECT_TRUE(a->data_pages == b->data_pages) << what;
+  EXPECT_TRUE(std::ranges::equal(a->index_pages(), b->index_pages())) << what;
+  EXPECT_TRUE(std::ranges::equal(a->data_pages(), b->data_pages())) << what;
   EXPECT_TRUE(a->data_runs == b->data_runs) << what;
 }
 

@@ -14,7 +14,7 @@ inline sim::Task<Status> SelectOnePage(hw::Node* node, hw::PageAddress page,
                                        FaultContext* fc,
                                        obs::QueryObs* qo = nullptr) {
   AccessPlan plan;
-  plan.index_pages.push_back(page);
+  plan.AddIndexPage(page);
   costs.startup_instructions = 0;
   co_return co_await RunSelect(node, plan, node->id(), costs, pool, fc, qo);
 }

@@ -95,7 +95,7 @@ void ExpectScanPlanMatchesLegacyResolver(const SystemCatalog& catalog,
   const auto plan =
       catalog.PlanAccess(slice, {1, INT64_MIN, INT64_MAX}, true).ValueOrDie();
   const auto& store = catalog.store(slice);
-  ASSERT_TRUE(plan.data_pages.empty()) << "slice " << slice;
+  ASSERT_TRUE(plan.data_pages().empty()) << "slice " << slice;
   ASSERT_EQ(plan.data_runs.size(), 1u) << "slice " << slice;
   ASSERT_EQ(plan.data_page_count(), store.data_pages()) << "slice " << slice;
   std::vector<hw::PageAddress> expanded;

@@ -20,6 +20,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <thread>
 
 #include "src/common/arena.h"
 #include "src/engine/system.h"
@@ -220,15 +222,16 @@ TEST(AllocCountTest, ScanHeavySteadyStateIsHeapSilent) {
   ExpectSteadyStateHeapSilent("range", wl);
 }
 
-TEST(AllocCountTest, ParkedDataSiteCostsAtMostTwoKiB) {
-  // Range declustering sends every attribute-A query to all 32 processors,
-  // so an open load past the knee parks thousands of data sites at the
-  // disks at once. A light first second warms every pool the load reaches
-  // (per-disk request slabs, calendar, frame cache); everything the
-  // overload then adds to the heap (coroutine frames, pooled plans and
-  // their page lists, sessions) is charged to the peak number of sites
-  // queued at the disks. That count leaves out the sites in service or
-  // elsewhere, so the bound caps what one parked site holds.
+// Range declustering sends every attribute-A query to all 32 processors,
+// so an open load past the knee parks thousands of data sites at the disks
+// at once. A light first second warms every pool the load reaches (per-disk
+// request slabs, calendar, frame cache); everything the overload then adds
+// to the heap (coroutine frames, site plans' page lists, sessions) is
+// charged to the peak number of sites queued at the disks. That count
+// leaves out the sites in service or elsewhere, so the figure caps what one
+// parked site holds. Returns the heap bytes per parked site, or a negative
+// value after a failed setup assertion.
+double ParkedDataSiteHeapBytesOnThisThread() {
   const auto wl = workload::MakeMix(workload::ResourceClass::kLow,
                                     workload::ResourceClass::kLow);
   workload::WisconsinOptions wopts;
@@ -236,9 +239,10 @@ TEST(AllocCountTest, ParkedDataSiteCostsAtMostTwoKiB) {
   const auto relation = workload::MakeWisconsin(wopts);
   constexpr int kProcessors = 32;
   auto part = exp::MakePartitioning("range", relation, wl, kProcessors);
-  ASSERT_TRUE(part.ok()) << part.status().message();
+  EXPECT_TRUE(part.ok()) << part.status().message();
   auto open = workload::OpenPlan::Parse("rate:20;rate:600@t=1s;cap:256");
-  ASSERT_TRUE(open.ok()) << open.status().message();
+  EXPECT_TRUE(open.ok()) << open.status().message();
+  if (!part.ok() || !open.ok()) return -1.0;
 
   sim::Simulation sim;
   engine::SystemConfig cfg;
@@ -246,7 +250,9 @@ TEST(AllocCountTest, ParkedDataSiteCostsAtMostTwoKiB) {
   cfg.seed = 17;
   cfg.open = &*open;
   engine::System system(&sim, cfg, &relation, part->get(), &wl);
-  ASSERT_TRUE(system.Init().ok());
+  const Status init = system.Init();
+  EXPECT_TRUE(init.ok()) << init.ToString();
+  if (!init.ok()) return -1.0;
   system.Start();
   sim.RunUntil(1'000.0);
 
@@ -265,12 +271,39 @@ TEST(AllocCountTest, ParkedDataSiteCostsAtMostTwoKiB) {
   const int64_t peak_extra =
       g_peak_live_bytes.load(std::memory_order_relaxed) - baseline;
 
-  ASSERT_GT(peak_parked, 2'000) << "the load is not past the knee";
-  const double per_site =
-      static_cast<double>(peak_extra) / static_cast<double>(peak_parked);
-  EXPECT_LE(per_site, 2'048.0)
-      << peak_extra << " heap bytes over the warm system for " << peak_parked
-      << " parked data sites";
+  EXPECT_GT(peak_parked, 2'000) << "the load is not past the knee";
+  if (peak_parked <= 2'000) return -1.0;
+  return static_cast<double>(peak_extra) / static_cast<double>(peak_parked);
+}
+
+// Runs ParkedDataSiteHeapBytesOnThisThread on a thread of its own, so
+// frames that earlier tests left in this thread's FrameCache cannot hide
+// the run's frames, and records the figure as the test's
+// heap_bytes_per_parked_site property (--gtest_output=xml).
+double ParkedDataSiteHeapBytes() {
+  double per_site = -1.0;
+  std::thread([&per_site] {
+    per_site = ParkedDataSiteHeapBytesOnThisThread();
+  }).join();
+  if (per_site >= 0.0) {
+    ::testing::Test::RecordProperty("heap_bytes_per_parked_site",
+                                    std::to_string(per_site));
+  }
+  return per_site;
+}
+
+TEST(AllocCountTest, ParkedDataSiteCostsAtMostTwoKiB) {
+  const double per_site = ParkedDataSiteHeapBytes();
+  EXPECT_GE(per_site, 0.0);
+  EXPECT_LE(per_site, 2'048.0) << "heap bytes per parked data site";
+}
+
+TEST(AllocCountTest, ParkedDataSiteCostsAtMost960Bytes) {
+  // The one-word Status, one CPU await per select and the plan held on its
+  // site's frame bring a parked site from 1,365 bytes down below this.
+  const double per_site = ParkedDataSiteHeapBytes();
+  EXPECT_GE(per_site, 0.0);
+  EXPECT_LE(per_site, 960.0) << "heap bytes per parked data site";
 }
 
 TEST(AllocCountTest, SerialSweepPeakHeapStaysBelowPerPointTreeBuilds) {

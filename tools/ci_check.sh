@@ -22,7 +22,8 @@
 # jobs=4 identity cases of the recovery, resize, open and control sweeps),
 # then a Release build runs a differential smoke: the same quick sweeps —
 # one of them rebuilding a failed disk while slices migrate — serially and
-# with --jobs 4 must produce byte-identical output, and the calendar and
+# with --jobs 4 must produce byte-identical output, the allocation-count
+# tests must pass on the Release frame layout, and the calendar and
 # MAGIC-build micro benchmarks must run once. Before any build, a lint
 # rejects ASCII control bytes other than tab and newline in the tracked
 # files under src/, tests/, tools/, examples/ and bench/.
@@ -44,7 +45,7 @@ while [[ $# -gt 0 ]]; do
     --jobs=*) JOBS="${1#*=}"; shift ;;
     --fresh) FRESH=1; shift ;;
     -h|--help)
-      sed -n '2,34p' "$0"; exit 0 ;;
+      sed -n '2,35p' "$0"; exit 0 ;;
     *) echo "unknown option: $1" >&2; exit 2 ;;
   esac
 done
@@ -124,7 +125,7 @@ cmake -S "$ROOT" -B "$SMOKE_DIR" \
   -DDECLUST_BUILD_BENCHMARKS=ON \
   -DDECLUST_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "$SMOKE_DIR" -j"$JOBS" --target run_experiment audit_sweep \
-  scale_test micro_sim_kernel micro_assignment micro_gridfile
+  scale_test alloc_count_test micro_sim_kernel micro_assignment micro_gridfile
 SMOKE_ARGS=(--strategies range,hash --mpls 4 --repeats 1 --cardinality 20000
             --processors 8 --warmup 500 --measure 2000)
 # Each variant is its extra arguments, '|'-separated.
@@ -178,6 +179,14 @@ fi
 echo "=== relsmoke: ctest -L scale (thousand-node setup path) ==="
 if ! ctest --test-dir "$SMOKE_DIR" -L scale --output-on-failure; then
   echo "*** relsmoke: scale suite FAILED" >&2
+  FAILED=1
+fi
+# The heap-silence and parked-site budget cases depend on the coroutine
+# frame layout, which the optimizer decides: run them once on the Release
+# frames too (the sanitizer trees skip or perturb them).
+echo "=== relsmoke: AllocCountTest on the Release frame layout ==="
+if ! "$SMOKE_DIR/tests/alloc_count_test" --gtest_filter='AllocCountTest.*'; then
+  echo "*** relsmoke: AllocCountTest FAILED" >&2
   FAILED=1
 fi
 # The calendar micro cases (tie-heavy, scattered and the real figure-8 and
