@@ -1,6 +1,5 @@
-// Micro-benchmarks of the B+-tree substrate: fanout sensitivity (the index
-// height drives the simulator's random-I/O counts), bulk load vs repeated
-// insertion, and range-scan throughput.
+// Micro-benchmarks of the B+-tree substrate: bulk load, point lookups at
+// two fanouts, and range-scan throughput.
 #include <benchmark/benchmark.h>
 
 #include "src/common/random.h"
@@ -9,22 +8,6 @@
 namespace {
 
 using namespace declust;  // NOLINT(build/namespaces)
-
-void BM_InsertRandom(benchmark::State& state) {
-  const int fanout = static_cast<int>(state.range(0));
-  const int n = 100000;
-  for (auto _ : state) {
-    RandomStream rng(1);
-    storage::BPlusTree t(fanout);
-    for (int i = 0; i < n; ++i) {
-      t.Insert(rng.UniformInt(0, 1 << 20),
-               static_cast<storage::RecordId>(i));
-    }
-    benchmark::DoNotOptimize(t.height());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_InsertRandom)->Arg(16)->Arg(64)->Arg(256)->Arg(512);
 
 void BM_BulkLoad(benchmark::State& state) {
   const int n = 100000;
@@ -51,7 +34,8 @@ void BM_PointSearch(benchmark::State& state) {
                                         static_cast<int>(state.range(0)));
   RandomStream rng(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(t.Search(rng.UniformInt(0, n - 1)));
+    const storage::Value key = rng.UniformInt(0, n - 1);
+    benchmark::DoNotOptimize(t.Range(key, key));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -68,7 +52,9 @@ void BM_RangeScan(benchmark::State& state) {
   RandomStream rng(3);
   for (auto _ : state) {
     const int64_t lo = rng.UniformInt(0, n - width - 1);
-    benchmark::DoNotOptimize(t.RangeSearch(lo, lo + width - 1));
+    int64_t rids = 0;
+    for (const auto& e : t.Range(lo, lo + width - 1)) rids += e.rid;
+    benchmark::DoNotOptimize(rids);
   }
   state.SetItemsProcessed(state.iterations() * width);
 }

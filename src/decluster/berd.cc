@@ -82,9 +82,10 @@ void BerdPartitioning::SitesForInto(const Predicate& q,
   // what the auxiliary lookup would return).
   std::vector<int>& homes = out->data_nodes;
   for (int aux_node : out->aux_nodes) {
-    aux_trees_[static_cast<size_t>(aux_node)].ForEachInRange(
-        q.lo, q.hi,
-        [&](const storage::BTreeEntry& e) { homes.push_back(NodeOf(e.rid)); });
+    for (const storage::BTreeEntry& e :
+         aux_trees_[static_cast<size_t>(aux_node)].Range(q.lo, q.hi)) {
+      homes.push_back(NodeOf(e.rid));
+    }
   }
   std::sort(homes.begin(), homes.end());
   homes.erase(std::unique(homes.begin(), homes.end()), homes.end());
@@ -111,7 +112,7 @@ AuxLookupCost BerdPartitioning::AuxCost(int node, Value lo, Value hi) const {
   AuxLookupCost cost;
   cost.index_pages = tree.height();
   cost.leaf_pages = tree.LeafPagesTouched(lo, hi);
-  cost.entries = tree.RangeCount(lo, hi);
+  cost.entries = static_cast<int64_t>(tree.Range(lo, hi).size());
   return cost;
 }
 

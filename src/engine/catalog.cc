@@ -185,21 +185,20 @@ Status FragmentStore::ClusteredAccessInto(Value lo, Value hi,
                                           AccessPlan* out) const {
   out->clear();
   // The clustered path needs only the range's shape: count plus first/last
-  // positions. RangeBounds walks the leaf chain without materialising the
-  // entries, so this plan is built without touching the heap.
+  // positions.
   const storage::BPlusTree& clustered_b = trees_->clustered_b;
-  const auto range = clustered_b.RangeBounds(lo, hi);
-  out->tuples = range.count;
-  const int64_t first_pos = range.count == 0 ? 0 : range.first.rid;
+  const auto range = clustered_b.Range(lo, hi);
+  out->tuples = static_cast<int64_t>(range.size());
+  const int64_t first_pos = range.empty() ? 0 : range.front().rid;
   const int64_t avg_per_leaf_b = std::max<int64_t>(
       1, clustered_b.size() / std::max<int64_t>(1, clustered_b.leaf_count()));
   DECLUST_RETURN_NOT_OK(DescentPages(index_b_extent_, clustered_b.height(),
                                      first_pos / avg_per_leaf_b, layout,
                                      out));
-  if (range.count > 0) {
+  if (!range.empty()) {
     // Qualifying tuples are contiguous in clustered order: one sequential
     // run of pages, however wide the range.
-    const int64_t last_pos = range.last.rid;
+    const int64_t last_pos = range.back().rid;
     const int64_t first_page = page_layout_.PageOfPosition(first_pos);
     const int64_t last_page = page_layout_.PageOfPosition(last_pos);
     DECLUST_ASSIGN_OR_RETURN(
@@ -216,9 +215,7 @@ Status FragmentStore::NonClusteredAccessInto(Value lo, Value hi,
                                              AccessPlan* out) const {
   out->clear();
   const storage::BPlusTree& nonclustered_a = trees_->nonclustered_a;
-  std::vector<storage::BTreeEntry>& entries = scratch->entries;
-  entries.clear();
-  nonclustered_a.RangeSearchInto(lo, hi, &entries);
+  const auto entries = nonclustered_a.Range(lo, hi);
   out->tuples = static_cast<int64_t>(entries.size());
 
   // One random data page per distinct page of a qualifying tuple, read in
@@ -270,7 +267,7 @@ Status FragmentStore::ScanAccessInto(int attr, Value lo, Value hi,
     out->data_runs.push_back(run);
   }
   const auto& tree = (attr == 1) ? trees_->clustered_b : trees_->nonclustered_a;
-  out->tuples = tree.RangeCount(lo, hi);
+  out->tuples = static_cast<int64_t>(tree.Range(lo, hi).size());
   return Status::OK();
 }
 

@@ -121,7 +121,6 @@ struct AccessPlan {
 /// synchronous (no co_await inside), so one scratch per catalog suffices:
 /// each call finishes with the scratch before returning.
 struct PlanScratch {
-  std::vector<storage::BTreeEntry> entries;
   std::vector<int64_t> pages;
 };
 

@@ -73,8 +73,10 @@ TEST(CatalogTest, IndexTiesMatchAnIndirectSortOfRecordIds) {
                 return x.key < y.key;
               });
     const FragmentStore& store = (*catalog)->store(node);
-    EXPECT_EQ(store.clustered_index().RangeSearch(lo, hi), b_ref);
-    EXPECT_EQ(store.nonclustered_index().RangeSearch(lo, hi), a_ref);
+    EXPECT_TRUE(std::ranges::equal(store.clustered_index().Range(lo, hi),
+                                   b_ref));
+    EXPECT_TRUE(std::ranges::equal(store.nonclustered_index().Range(lo, hi),
+                                   a_ref));
   }
 }
 

@@ -300,8 +300,8 @@ TEST(CatalogTreesBuildTest, ParallelBuildMatchesSerial) {
                               &CatalogTrees::Slice::nonclustered_a}) {
       const storage::BPlusTree& x = (*serial)->slice(s).*member;
       const storage::BPlusTree& y = (*parallel)->slice(s).*member;
-      EXPECT_TRUE(x.RangeSearch(INT64_MIN, INT64_MAX) ==
-                  y.RangeSearch(INT64_MIN, INT64_MAX))
+      EXPECT_TRUE(std::ranges::equal(x.Range(INT64_MIN, INT64_MAX),
+                                     y.Range(INT64_MIN, INT64_MAX)))
           << "slice " << s;
       EXPECT_EQ(x.node_count(), y.node_count());
     }

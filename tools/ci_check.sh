@@ -125,7 +125,8 @@ cmake -S "$ROOT" -B "$SMOKE_DIR" \
   -DDECLUST_BUILD_BENCHMARKS=ON \
   -DDECLUST_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "$SMOKE_DIR" -j"$JOBS" --target run_experiment audit_sweep \
-  scale_test alloc_count_test micro_sim_kernel micro_assignment micro_gridfile
+  scale_test alloc_count_test micro_sim_kernel micro_assignment micro_gridfile \
+  micro_btree
 SMOKE_ARGS=(--strategies range,hash --mpls 4 --repeats 1 --cardinality 20000
             --processors 8 --warmup 500 --measure 2000)
 # Each variant is its extra arguments, '|'-separated.
@@ -210,6 +211,13 @@ fi
 if ! "$SMOKE_DIR/bench/micro_gridfile" \
     --benchmark_filter='BM_GridInsertCorrelated' --benchmark_min_time=0.01; then
   echo "*** relsmoke: micro_gridfile correlated insert case FAILED" >&2
+  FAILED=1
+fi
+# The B+-tree cases (bulk load, point and range lookups) must run to
+# completion; their rates are not gated here.
+echo "=== relsmoke: micro_btree cases run ==="
+if ! "$SMOKE_DIR/bench/micro_btree" --benchmark_min_time=0.01; then
+  echo "*** relsmoke: micro_btree cases FAILED" >&2
   FAILED=1
 fi
 # audit_sweep's differential harness runs the same config through every
