@@ -18,14 +18,9 @@ Result<std::unique_ptr<BerdPartitioning>> BerdPartitioning::Create(
 
   auto part = std::unique_ptr<BerdPartitioning>(new BerdPartitioning());
   part->secondary_attr_ = schema_attrs[1];
-  // The data placement is exactly the primary range partitioning.
-  std::vector<int> home(static_cast<size_t>(relation.cardinality()));
-  for (int64_t i = 0; i < relation.cardinality(); ++i) {
-    home[static_cast<size_t>(i)] =
-        primary->NodeOf(static_cast<RecordId>(i));
-  }
-  part->SetAssignment(num_nodes, static_cast<int>(schema_attrs.size()),
-                      std::move(home));
+  // The data placement is exactly the primary range partitioning; the
+  // primary keeps only its bounds, for NodesForRange.
+  part->TakeAssignment(primary.get());
   part->primary_ = std::move(primary);
 
   // Build the auxiliary relation: (secondary value, rid), sorted by value,
@@ -37,23 +32,20 @@ Result<std::unique_ptr<BerdPartitioning>> BerdPartitioning::Create(
     aux[static_cast<size_t>(i)] = {relation.value(rid, part->secondary_attr_),
                                    rid};
   }
-  std::sort(aux.begin(), aux.end(),
-            [](const storage::BTreeEntry& a, const storage::BTreeEntry& b) {
-              return a.key < b.key;
-            });
+  storage::SortByKey(&aux);
 
   part->aux_upper_bounds_.resize(static_cast<size_t>(num_nodes));
   part->aux_trees_.reserve(static_cast<size_t>(num_nodes));
   for (int node = 0; node < num_nodes; ++node) {
     const int64_t begin = n * node / num_nodes;
     const int64_t end = n * (node + 1) / num_nodes;
-    std::vector<storage::BTreeEntry> fragment(
-        aux.begin() + begin, aux.begin() + end);
     const int64_t last = std::max(begin, end - 1);
     part->aux_upper_bounds_[static_cast<size_t>(node)] =
         aux[static_cast<size_t>(last)].key;
     part->aux_trees_.push_back(storage::BPlusTree::BulkLoad(
-        std::move(fragment), options.aux_tree_fanout));
+        std::span(aux).subspan(static_cast<size_t>(begin),
+                               static_cast<size_t>(end - begin)),
+        options.aux_tree_fanout));
   }
   part->aux_upper_bounds_.back() = std::numeric_limits<Value>::max();
   return part;
@@ -82,9 +74,10 @@ void BerdPartitioning::SitesForInto(const Predicate& q,
   // what the auxiliary lookup would return).
   std::vector<int>& homes = out->data_nodes;
   for (int aux_node : out->aux_nodes) {
-    for (const storage::BTreeEntry& e :
-         aux_trees_[static_cast<size_t>(aux_node)].Range(q.lo, q.hi)) {
-      homes.push_back(NodeOf(e.rid));
+    const storage::EntryRange entries =
+        aux_trees_[static_cast<size_t>(aux_node)].Range(q.lo, q.hi);
+    for (size_t i = 0; i < entries.size(); ++i) {
+      homes.push_back(NodeOf(entries.rid(i)));
     }
   }
   std::sort(homes.begin(), homes.end());

@@ -31,12 +31,7 @@ Result<std::unique_ptr<RangePartitioning>> RangePartitioning::Create(
     const auto rid = static_cast<RecordId>(i);
     order[static_cast<size_t>(i)] = {relation.value(rid, attr), rid};
   }
-  // Key-only, no rid tie-break: std::sort's moves depend only on comparison
-  // outcomes, so ties land exactly where an indirect sort of the rids put them.
-  std::sort(order.begin(), order.end(),
-            [](const storage::BTreeEntry& a, const storage::BTreeEntry& b) {
-              return a.key < b.key;
-            });
+  storage::SortByKey(&order);
 
   auto part = std::unique_ptr<RangePartitioning>(new RangePartitioning());
   std::vector<int> home(static_cast<size_t>(n), 0);

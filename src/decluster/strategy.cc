@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace declust::decluster {
 
@@ -16,6 +17,12 @@ void Partitioning::SetAssignment(int num_nodes, int num_attrs,
     node_records_[static_cast<size_t>(node)].push_back(
         static_cast<RecordId>(rid));
   }
+}
+
+void Partitioning::TakeAssignment(Partitioning* from) {
+  num_attrs_ = std::exchange(from->num_attrs_, 0);
+  record_home_ = std::exchange(from->record_home_, {});
+  node_records_ = std::exchange(from->node_records_, {});
 }
 
 std::pair<int64_t, int64_t> Partitioning::LoadExtremes() const {

@@ -116,6 +116,11 @@ class Partitioning {
   void SetAssignment(int num_nodes, int num_attrs,
                      std::vector<int> record_home);
 
+  /// Takes `from`'s assignment (record homes, per-node record lists and
+  /// arity), leaving `from` with none: for a strategy whose data placement
+  /// is another strategy's.
+  void TakeAssignment(Partitioning* from);
+
   /// InsertSites after its arity check: `attr_values` has num_attrs()
   /// values.
   virtual std::vector<int> SitesForInsert(

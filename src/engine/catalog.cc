@@ -46,16 +46,11 @@ CatalogTrees::Slice CatalogTrees::BuildSlice(
     storage::AttrId attr_a, storage::AttrId attr_b, int index_fanout) {
   // Clustered order on B. The sorted order is scratch: once the indexes
   // are bulk-loaded, positions (not record ids) are all a store needs.
-  // Key-only, no rid tie-break: std::sort's moves depend only on comparison
-  // outcomes, so ties land exactly where an indirect sort of the rids put them.
   std::vector<storage::BTreeEntry> b_entries(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
     b_entries[i] = {relation.value(records[i], attr_b), records[i]};
   }
-  std::sort(b_entries.begin(), b_entries.end(),
-            [](const storage::BTreeEntry& x, const storage::BTreeEntry& y) {
-              return x.key < y.key;
-            });
+  storage::SortByKey(&b_entries);
 
   // Build both indexes over positions in clustered order.
   std::vector<storage::BTreeEntry> a_entries(b_entries.size());
@@ -64,13 +59,9 @@ CatalogTrees::Slice CatalogTrees::BuildSlice(
                       static_cast<RecordId>(pos)};
     b_entries[pos].rid = static_cast<RecordId>(pos);
   }
-  std::sort(a_entries.begin(), a_entries.end(),
-            [](const storage::BTreeEntry& x, const storage::BTreeEntry& y) {
-              return x.key < y.key;
-            });
-  return Slice{
-      storage::BPlusTree::BulkLoad(std::move(b_entries), index_fanout),
-      storage::BPlusTree::BulkLoad(std::move(a_entries), index_fanout)};
+  storage::SortByKey(&a_entries);
+  return Slice{storage::BPlusTree::BulkLoad(b_entries, index_fanout),
+               storage::BPlusTree::BulkLoad(a_entries, index_fanout)};
 }
 
 Result<std::shared_ptr<const CatalogTrees>> CatalogTrees::Build(
@@ -187,9 +178,9 @@ Status FragmentStore::ClusteredAccessInto(Value lo, Value hi,
   // The clustered path needs only the range's shape: count plus first/last
   // positions.
   const storage::BPlusTree& clustered_b = trees_->clustered_b;
-  const auto range = clustered_b.Range(lo, hi);
+  const storage::EntryRange range = clustered_b.Range(lo, hi);
   out->tuples = static_cast<int64_t>(range.size());
-  const int64_t first_pos = range.empty() ? 0 : range.front().rid;
+  const int64_t first_pos = range.empty() ? 0 : range.rid(0);
   const int64_t avg_per_leaf_b = std::max<int64_t>(
       1, clustered_b.size() / std::max<int64_t>(1, clustered_b.leaf_count()));
   DECLUST_RETURN_NOT_OK(DescentPages(index_b_extent_, clustered_b.height(),
@@ -198,7 +189,7 @@ Status FragmentStore::ClusteredAccessInto(Value lo, Value hi,
   if (!range.empty()) {
     // Qualifying tuples are contiguous in clustered order: one sequential
     // run of pages, however wide the range.
-    const int64_t last_pos = range.back().rid;
+    const int64_t last_pos = range.rid(range.size() - 1);
     const int64_t first_page = page_layout_.PageOfPosition(first_pos);
     const int64_t last_page = page_layout_.PageOfPosition(last_pos);
     DECLUST_ASSIGN_OR_RETURN(
@@ -215,15 +206,15 @@ Status FragmentStore::NonClusteredAccessInto(Value lo, Value hi,
                                              AccessPlan* out) const {
   out->clear();
   const storage::BPlusTree& nonclustered_a = trees_->nonclustered_a;
-  const auto entries = nonclustered_a.Range(lo, hi);
+  const storage::EntryRange entries = nonclustered_a.Range(lo, hi);
   out->tuples = static_cast<int64_t>(entries.size());
 
   // One random data page per distinct page of a qualifying tuple, read in
   // ascending page order after the index pages.
   std::vector<int64_t>& pages = scratch->pages;
   pages.clear();
-  for (const auto& e : entries) {
-    pages.push_back(page_layout_.PageOfPosition(e.rid));
+  for (size_t i = 0; i < entries.size(); ++i) {
+    pages.push_back(page_layout_.PageOfPosition(entries.rid(i)));
   }
   std::sort(pages.begin(), pages.end());
   pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
@@ -238,7 +229,7 @@ Status FragmentStore::NonClusteredAccessInto(Value lo, Value hi,
       static_cast<int64_t>(pages.size())));
   DECLUST_RETURN_NOT_OK(
       DescentPages(index_a_extent_, nonclustered_a.height(),
-                   (entries.empty() ? 0 : entries.front().key) / avg_per_leaf,
+                   (entries.empty() ? 0 : entries.key(0)) / avg_per_leaf,
                    layout, out));
   for (int64_t l = 0; l < extra_leaves; ++l) {
     DECLUST_ASSIGN_OR_RETURN(

@@ -30,6 +30,25 @@ TEST(BerdTest, DataPlacementMatchesPrimaryRange) {
   EXPECT_TRUE(sites.aux_nodes.empty());
 }
 
+TEST(BerdTest, PlacementEqualsAFreshRangePartitioning) {
+  for (double correlation : {0.0, 1.0}) {
+    auto rel = Rel(correlation);
+    auto berd = BerdPartitioning::Create(rel, {0, 1}, 8);
+    auto range = RangePartitioning::Create(rel, {0, 1}, 8);
+    ASSERT_TRUE(berd.ok());
+    ASSERT_TRUE(range.ok());
+    EXPECT_EQ((*berd)->num_attrs(), (*range)->num_attrs());
+    EXPECT_EQ((*berd)->node_records(), (*range)->node_records());
+    for (int64_t i = 0; i < rel.cardinality(); ++i) {
+      const auto rid = static_cast<storage::RecordId>(i);
+      ASSERT_EQ((*berd)->NodeOf(rid), (*range)->NodeOf(rid)) << "rid " << i;
+    }
+    // The primary's bounds still route attribute-0 queries.
+    EXPECT_EQ((*berd)->SitesFor({0, 5, 900}).data_nodes,
+              (*range)->SitesFor({0, 5, 900}).data_nodes);
+  }
+}
+
 TEST(BerdTest, SecondaryQueryUsesAuxPhase) {
   auto rel = Rel(0.0);
   auto part = BerdPartitioning::Create(rel, {0, 1}, 8);

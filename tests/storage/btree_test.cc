@@ -15,10 +15,10 @@ namespace {
 // keys in the order given, as inserting them one by one would.
 BPlusTree Load(std::vector<BTreeEntry> entries, int fanout) {
   std::ranges::stable_sort(entries, {}, &BTreeEntry::key);
-  return BPlusTree::BulkLoad(std::move(entries), fanout);
+  return BPlusTree::BulkLoad(entries, fanout);
 }
 
-std::vector<RecordId> Rids(std::span<const BTreeEntry> entries) {
+std::vector<RecordId> Rids(const EntryRange& entries) {
   std::vector<RecordId> rids;
   for (const BTreeEntry& e : entries) rids.push_back(e.rid);
   return rids;
@@ -62,7 +62,7 @@ TEST(BTreeTest, ReverseInsertsSplitCorrectly) {
   const BPlusTree t = Load(entries, 4);
   const auto all = t.Range(0, 99);
   ASSERT_EQ(all.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(all[static_cast<size_t>(i)].key, i);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(all.key(static_cast<size_t>(i)), i);
 }
 
 TEST(BTreeTest, DuplicateKeysAllFound) {
@@ -88,13 +88,13 @@ TEST(BTreeTest, RangeSearchBoundsInclusive) {
   const BPlusTree t = Load(entries, 8);
   auto r = t.Range(10, 20);
   ASSERT_EQ(r.size(), 6u);  // 10,12,14,16,18,20
-  EXPECT_EQ(r.front().key, 10);
-  EXPECT_EQ(r.back().key, 20);
+  EXPECT_EQ(r.key(0), 10);
+  EXPECT_EQ(r.key(r.size() - 1), 20);
   // Bounds that fall between keys.
   r = t.Range(11, 19);
   ASSERT_EQ(r.size(), 4u);
-  EXPECT_EQ(r.front().key, 12);
-  EXPECT_EQ(r.back().key, 18);
+  EXPECT_EQ(r.key(0), 12);
+  EXPECT_EQ(r.key(r.size() - 1), 18);
   // Empty range.
   EXPECT_TRUE(t.Range(200, 300).empty());
   EXPECT_TRUE(t.Range(20, 10).empty());
