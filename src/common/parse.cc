@@ -1,13 +1,10 @@
 #include "src/common/parse.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string>
 
 namespace declust {
@@ -82,89 +79,6 @@ Result<double> ParseDouble(std::string_view s, double min, double max) {
                                    std::to_string(max) + "]");
   }
   return v;
-}
-
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-std::vector<std::string_view> SplitPlanItems(std::string_view spec) {
-  std::vector<std::string_view> items;
-  while (!spec.empty()) {
-    const auto semi = spec.find(';');
-    const std::string_view item = Trim(spec.substr(0, semi));
-    spec = semi == std::string_view::npos ? std::string_view()
-                                          : spec.substr(semi + 1);
-    if (!item.empty()) items.push_back(item);
-  }
-  return items;
-}
-
-Status ForEachKeyValue(
-    std::string_view prefix, std::string_view noun, std::string_view item,
-    std::string_view opts,
-    const std::function<Status(std::string_view key, std::string_view val)>&
-        fn) {
-  std::vector<std::string_view> seen_keys;
-  while (!opts.empty()) {
-    const auto comma = opts.find(',');
-    const std::string_view kv = Trim(opts.substr(0, comma));
-    opts = comma == std::string_view::npos ? std::string_view()
-                                          : opts.substr(comma + 1);
-    const auto eq = kv.find('=');
-    if (eq == std::string_view::npos) {
-      return Status::InvalidArgument(std::string(prefix) +
-                                     ": expected key=value, got " + Quoted(kv));
-    }
-    const std::string_view key = Trim(kv.substr(0, eq));
-    // A repeated key is almost certainly a typo'd spec; last-wins would
-    // silently run something other than what the user wrote.
-    if (std::find(seen_keys.begin(), seen_keys.end(), key) !=
-        seen_keys.end()) {
-      return Status::InvalidArgument(
-          std::string(prefix) + ": duplicate key " + Quoted(key) + " in " +
-          std::string(noun) + " " + Quoted(item));
-    }
-    seen_keys.push_back(key);
-    DECLUST_RETURN_NOT_OK(fn(key, Trim(kv.substr(eq + 1))));
-  }
-  return Status::OK();
-}
-
-Result<double> ParseTimeMs(std::string_view prefix, std::string_view s,
-                           std::string_view what) {
-  double scale = 1000.0;  // bare numbers are seconds
-  if (s.size() >= 2 && s.substr(s.size() - 2) == "ms") {
-    scale = 1.0;
-    s.remove_suffix(2);
-  } else if (!s.empty() && s.back() == 's') {
-    s.remove_suffix(1);
-  }
-  auto v = ParseDouble(s, 0.0, std::numeric_limits<double>::max());
-  if (!v.ok()) {
-    return Status::InvalidArgument(std::string(prefix) + ": bad " +
-                                   std::string(what) + " value '" +
-                                   std::string(s) + "'");
-  }
-  return *v * scale;
-}
-
-std::string FormatMs(double ms) {
-  char buf[64];
-  if (ms == static_cast<double>(static_cast<int64_t>(ms)) &&
-      static_cast<int64_t>(ms) % 1000 == 0) {
-    std::snprintf(buf, sizeof(buf), "%llds",
-                  static_cast<long long>(ms) / 1000);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%gms", ms);
-  }
-  return buf;
 }
 
 }  // namespace declust

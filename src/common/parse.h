@@ -5,17 +5,14 @@
 // jobs). These parsers return Result<T> instead: the whole input must be a
 // number, it must fit the target type, and it must lie inside the caller's
 // closed range — anything else is an InvalidArgument naming the offending
-// text, so tools can fail fast with a usage message.
-//
-// The ';'-separated plan grammars (--faults, --recovery, --resize, --open,
-// --control) share the token helpers below.
+// text, so tools can fail fast with a usage message. The plan specs
+// (--faults, --recovery, --resize, --open, --control) build on these in
+// src/common/spec.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/common/result.h"
 
@@ -33,33 +30,5 @@ Result<int> ParseInt(std::string_view s, int min, int max);
 /// Parses a finite double; the entire string must be consumed. Rejects
 /// empty input, trailing junk, NaN/Inf, and values outside [min, max].
 Result<double> ParseDouble(std::string_view s, double min, double max);
-
-/// Strips leading and trailing spaces and tabs.
-std::string_view Trim(std::string_view s);
-
-/// Splits a ';'-separated plan spec into its items, trimmed, skipping empty
-/// ones.
-std::vector<std::string_view> SplitPlanItems(std::string_view spec);
-
-/// Walks the ','-separated `key=value` options `opts` of the plan item
-/// `item`, handing each trimmed key and value to `fn` and stopping at the
-/// first error it returns. An option without '=' (an empty one included)
-/// fails as "<prefix>: expected key=value, got '<option>'"; a repeated key
-/// as "<prefix>: duplicate key '<key>' in <noun> '<item>'".
-Status ForEachKeyValue(
-    std::string_view prefix, std::string_view noun, std::string_view item,
-    std::string_view opts,
-    const std::function<Status(std::string_view key, std::string_view val)>&
-        fn);
-
-/// A non-negative duration with an optional `ms` or `s` suffix (default
-/// seconds), converted to milliseconds. Failure reads
-/// "<prefix>: bad <what> value '<number>'".
-Result<double> ParseTimeMs(std::string_view prefix, std::string_view s,
-                           std::string_view what);
-
-/// The plans' ToString() form of a time: whole seconds as "Ns", anything
-/// else as "%gms".
-std::string FormatMs(double ms);
 
 }  // namespace declust

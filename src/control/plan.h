@@ -2,13 +2,9 @@
 // control plane (src/control/controller.h).
 //
 // A ControlPlan is the control-side counterpart of sim::FaultPlan,
-// recover::RecoveryPlan, resize::ResizePlan and workload::OpenPlan: a
-// parsed, validated spec in the same hardened grammar (src/common/parse
-// does the number validation; duplicate keys, trailing junk and
-// out-of-range values are rejected with InvalidArgument).
+// recover::RecoveryPlan, resize::ResizePlan and workload::OpenPlan, in the
+// plan grammar of DESIGN.md ("Plan grammar").
 //
-// Item grammar (items separated by `;`; options separated by `,` or
-// whitespace):
 //   slo:pQQ<Bms[,every=D][,settle=K][,cooldown=C][,low=L]
 //     The declared latency objective: the observed pQQ response (QQ one of
 //     50, 95, 99) over each D-long window must stay below B. After K
@@ -38,7 +34,7 @@
 //     (floored at N in-flight queries); recovery relaxes it back toward the
 //     open plan's cap. At most one; without it the controller never sheds.
 //
-//   B, D, C   durations; `s` or `ms` suffix, default seconds
+//   B, D, C   durations (B, D > 0)
 //   F         in (0, 1];  L in [0, 1);  X in (0, 1)
 #pragma once
 
@@ -46,6 +42,7 @@
 #include <string_view>
 
 #include "src/common/result.h"
+#include "src/common/spec.h"
 #include "src/common/status.h"
 
 namespace declust::control {
@@ -66,7 +63,7 @@ struct ScaleBounds {
   int max_nodes = 2;
   int step = 1;                 ///< nodes added per scale-out
   double rate_mb_per_sec = 0.0;  ///< extra per-migration throttle (0 = none)
-  int batch_pages = 8;
+  int batch_pages = spec::kDefaultBatchPages;
 };
 
 /// Migration contention budget: fraction of per-node disk bandwidth and
@@ -87,9 +84,10 @@ class ControlPlan {
  public:
   ControlPlan() = default;
 
-  /// Parses the `--control` spec grammar described in the file comment.
-  /// Returns InvalidArgument with the offending text on malformed input.
+  /// Parses a `--control` spec; InvalidArgument on malformed input.
   static Result<ControlPlan> Parse(std::string_view spec);
+  /// The kinds and keys Parse accepts and ToString prints.
+  static const spec::Grammar& grammar();
 
   bool empty() const { return !have_slo_; }
   const SloTarget& slo() const { return slo_; }
@@ -118,8 +116,7 @@ class ControlPlan {
   /// physical node must be able to own at least one slice).
   int NumSlices(int initial_nodes) const;
 
-  /// Round-trips the plan back to canonical spec form (diagnostics). Parse
-  /// of the result yields an identical plan.
+  /// The plan in canonical spec form.
   std::string ToString() const;
 
  private:

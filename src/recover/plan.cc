@@ -1,91 +1,30 @@
 #include "src/recover/plan.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
-
-#include "src/common/parse.h"
 
 namespace declust::recover {
 
-namespace {
-
-Result<RepairEvent> ParseEvent(std::string_view item) {
-  RepairEvent ev;
-  const auto colon = item.find(':');
-  if (colon == std::string_view::npos) {
-    return Status::InvalidArgument("recovery: missing ':' in event '" +
-                                   std::string(item) + "'");
-  }
-  const std::string_view kind = Trim(item.substr(0, colon));
-  if (kind != "repair") {
-    return Status::InvalidArgument("recovery: unknown kind '" +
-                                   std::string(kind) +
-                                   "' (expected repair)");
-  }
-
-  std::string_view rest = Trim(item.substr(colon + 1));
-  const auto at = rest.find('@');
-  if (at == std::string_view::npos) {
-    return Status::InvalidArgument("recovery: missing '@t=' in event '" +
-                                   std::string(item) + "'");
-  }
-  std::string_view target = Trim(rest.substr(0, at));
-  if (target.substr(0, 4) != "node") {
-    return Status::InvalidArgument("recovery: target must be 'nodeN', got '" +
-                                   std::string(target) + "'");
-  }
-  auto node = ParseInt(target.substr(4), 0, 1 << 20);
-  if (!node.ok()) {
-    return Status::InvalidArgument("recovery: bad node index in '" +
-                                   std::string(target) + "'");
-  }
-  ev.node = *node;
-
-  // Options: first must be t=TIME, then optional rate=/batch= pairs.
-  bool have_t = false;
-  const auto option = [&](std::string_view key,
-                          std::string_view val) -> Status {
-    if (key == "t") {
-      DECLUST_ASSIGN_OR_RETURN(ev.at_ms, ParseTimeMs("recovery", val, "t"));
-      have_t = true;
-    } else if (key == "rate") {
-      auto rate = ParseDouble(val, 0.0, 1e9);
-      if (!rate.ok()) {
-        return Status::InvalidArgument("recovery: bad rate value '" +
-                                       std::string(val) + "'");
-      }
-      ev.rate_mb_per_sec = *rate;
-    } else if (key == "batch") {
-      auto batch = ParseInt(val, 1, 1 << 20);
-      if (!batch.ok()) {
-        return Status::InvalidArgument(
-            "recovery: batch must be an integer >= 1, got '" +
-            std::string(val) + "'");
-      }
-      ev.batch_pages = *batch;
-    } else {
-      return Status::InvalidArgument("recovery: unknown option '" +
-                                     std::string(key) + "' for repair");
-    }
-    return Status::OK();
-  };
-  DECLUST_RETURN_NOT_OK(
-      ForEachKeyValue("recovery", "event", item, rest.substr(at + 1), option));
-  if (!have_t) {
-    return Status::InvalidArgument("recovery: event '" + std::string(item) +
-                                   "' has no t=");
-  }
-  return ev;
+const spec::Grammar& RecoveryPlan::grammar() {
+  using spec::Into;
+  static const spec::Grammar kGrammar{
+      "recovery",
+      "event",
+      {{.name = "repair",
+        .head = spec::NodeHead(Into<&RepairEvent::node>),
+        .keys = {{"t", spec::Duration(), Into<&RepairEvent::at_ms>,
+                  spec::Presence::kRequired},
+                 spec::RateKey(Into<&RepairEvent::rate_mb_per_sec>),
+                 spec::BatchKey(Into<&RepairEvent::batch_pages>)}}}};
+  return kGrammar;
 }
 
-}  // namespace
-
 Result<RecoveryPlan> RecoveryPlan::Parse(std::string_view spec) {
+  const spec::Grammar& g = grammar();
+  DECLUST_ASSIGN_OR_RETURN(const std::vector<spec::Item> items, g.Split(spec));
   RecoveryPlan plan;
-  for (const std::string_view item : SplitPlanItems(spec)) {
-    DECLUST_ASSIGN_OR_RETURN(RepairEvent ev, ParseEvent(item));
-    plan.events_.push_back(ev);
+  for (const spec::Item& item : items) {
+    DECLUST_RETURN_NOT_OK(g.Fill(item, &plan.events_.emplace_back()));
   }
   std::stable_sort(plan.events_.begin(), plan.events_.end(),
                    [](const RepairEvent& a, const RepairEvent& b) {
@@ -120,7 +59,7 @@ Status RecoveryPlan::ValidateAgainst(const sim::FaultPlan& faults) const {
     if (!(fail_at <= ev.at_ms)) {
       return Status::InvalidArgument(
           "recovery: repair of node " + std::to_string(ev.node) + " at " +
-          FormatMs(ev.at_ms) +
+          spec::FormatMs(ev.at_ms) +
           " has no preceding disk failure in the fault plan");
     }
   }
@@ -129,19 +68,7 @@ Status RecoveryPlan::ValidateAgainst(const sim::FaultPlan& faults) const {
 
 std::string RecoveryPlan::ToString() const {
   std::string out;
-  for (const RepairEvent& ev : events_) {
-    if (!out.empty()) out += ";";
-    out += "repair:node" + std::to_string(ev.node) + "@t=" +
-           FormatMs(ev.at_ms);
-    if (ev.rate_mb_per_sec > 0.0) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), ",rate=%g", ev.rate_mb_per_sec);
-      out += buf;
-    }
-    if (ev.batch_pages != 8) {
-      out += ",batch=" + std::to_string(ev.batch_pages);
-    }
-  }
+  for (const RepairEvent& ev : events_) grammar().Print(0, ev, &out);
   return out;
 }
 

@@ -1,13 +1,9 @@
 // Recovery plans: scheduled node repairs for the online-recovery subsystem.
 //
-// A RecoveryPlan is the repair-side counterpart of sim::FaultPlan: a parsed,
-// validated schedule of `repair` events in the same hardened spec grammar
-// (src/common/parse does the number validation; duplicate keys, trailing
-// junk and out-of-range values are rejected with InvalidArgument).
-//
-// Event grammar (events separated by `;`):
+// A RecoveryPlan is the repair-side counterpart of sim::FaultPlan, in the
+// plan grammar of DESIGN.md ("Plan grammar"):
 //   repair:nodeN@t=T[,rate=R][,batch=B]
-//     T     repair time; `s` or `ms` suffix, default seconds
+//     T     repair time
 //     R     rebuild throttle in MB/s of rebuild traffic (0 or omitted =
 //           unthrottled: the rebuild runs as fast as the hardware allows)
 //     B     pages copied per rebuild batch (>= 1, default 8); batches are
@@ -25,6 +21,7 @@
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/common/spec.h"
 #include "src/common/status.h"
 #include "src/sim/fault.h"
 
@@ -38,7 +35,7 @@ struct RepairEvent {
   /// 0 means unthrottled.
   double rate_mb_per_sec = 0.0;
   /// Pages copied per rebuild batch.
-  int batch_pages = 8;
+  int batch_pages = spec::kDefaultBatchPages;
 };
 
 /// \brief A parsed, validated schedule of repair events.
@@ -46,9 +43,10 @@ class RecoveryPlan {
  public:
   RecoveryPlan() = default;
 
-  /// Parses the `--recovery` spec grammar described in the file comment.
-  /// Returns InvalidArgument with the offending text on malformed input.
+  /// Parses a `--recovery` spec; InvalidArgument on malformed input.
   static Result<RecoveryPlan> Parse(std::string_view spec);
+  /// The kinds and keys Parse accepts and ToString prints.
+  static const spec::Grammar& grammar();
 
   bool empty() const { return events_.empty(); }
   const std::vector<RepairEvent>& events() const { return events_; }
@@ -61,8 +59,7 @@ class RecoveryPlan {
   /// repaired at most once.
   Status ValidateAgainst(const sim::FaultPlan& faults) const;
 
-  /// Round-trips the plan back to canonical spec form (diagnostics). Parse
-  /// of the result yields an identical plan.
+  /// The plan in canonical spec form.
   std::string ToString() const;
 
  private:

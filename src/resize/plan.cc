@@ -1,158 +1,63 @@
 #include "src/resize/plan.h"
 
 #include <algorithm>
-#include <cstdio>
-
-#include "src/common/parse.h"
 
 namespace declust::resize {
 
 namespace {
 
-/// `nodeA` or `nodeA-B` (inclusive, A <= B).
-Status ParseNodeRange(std::string_view target, ResizeEvent* ev) {
-  if (target.substr(0, 4) != "node") {
-    return Status::InvalidArgument(
-        "resize: target must be 'nodeA' or 'nodeA-B', got '" +
-        std::string(target) + "'");
-  }
-  std::string_view range = target.substr(4);
-  const auto dash = range.find('-');
-  const std::string_view lo_s =
-      dash == std::string_view::npos ? range : range.substr(0, dash);
-  const std::string_view hi_s =
-      dash == std::string_view::npos ? range : range.substr(dash + 1);
-  auto lo = ParseInt(lo_s, 0, 1 << 20);
-  auto hi = ParseInt(hi_s, 0, 1 << 20);
-  if (!lo.ok() || !hi.ok() || *lo > *hi) {
-    return Status::InvalidArgument("resize: bad node range in '" +
-                                   std::string(target) + "'");
-  }
-  ev->lo = *lo;
-  ev->hi = *hi;
-  return Status::OK();
-}
-
-Result<ResizeEvent> ParseEvent(std::string_view item, std::string_view kind,
-                               std::string_view rest) {
-  ResizeEvent ev;
-  ev.kind = kind == "add"      ? ResizeEvent::Kind::kAdd
-            : kind == "remove" ? ResizeEvent::Kind::kRemove
-                               : ResizeEvent::Kind::kRebalance;
-  const auto at = rest.find('@');
-  if (at == std::string_view::npos) {
-    return Status::InvalidArgument("resize: missing '@t=' in event '" +
-                                   std::string(item) + "'");
-  }
-  const std::string_view target = Trim(rest.substr(0, at));
-  if (ev.kind == ResizeEvent::Kind::kRebalance) {
-    if (target != "auto") {
-      return Status::InvalidArgument(
-          "resize: rebalance target must be 'auto', got '" +
-          std::string(target) + "'");
-    }
-  } else {
-    DECLUST_RETURN_NOT_OK(ParseNodeRange(target, &ev));
-  }
-
-  // Options: first must be t=TIME, then optional key=value pairs.
-  const bool rebalance = ev.kind == ResizeEvent::Kind::kRebalance;
-  bool have_t = false;
-  const auto option = [&](std::string_view key,
-                          std::string_view val) -> Status {
-    if (key == "t") {
-      DECLUST_ASSIGN_OR_RETURN(ev.at_ms, ParseTimeMs("resize", val, "t"));
-      have_t = true;
-    } else if (key == "rate") {
-      auto rate = ParseDouble(val, 0.0, 1e9);
-      if (!rate.ok()) {
-        return Status::InvalidArgument("resize: bad rate value '" +
-                                       std::string(val) + "'");
-      }
-      ev.rate_mb_per_sec = *rate;
-    } else if (key == "batch") {
-      auto batch = ParseInt(val, 1, 1 << 20);
-      if (!batch.ok()) {
-        return Status::InvalidArgument(
-            "resize: batch must be an integer >= 1, got '" +
-            std::string(val) + "'");
-      }
-      ev.batch_pages = *batch;
-    } else if (rebalance && key == "every") {
-      DECLUST_ASSIGN_OR_RETURN(ev.every_ms, ParseTimeMs("resize", val, "every"));
-      if (ev.every_ms <= 0.0) {
-        return Status::InvalidArgument("resize: every must be > 0");
-      }
-    } else if (rebalance && key == "threshold") {
-      auto thr = ParseDouble(val, 1.0, 1e6);
-      if (!thr.ok()) {
-        return Status::InvalidArgument("resize: bad threshold value '" +
-                                       std::string(val) + "'");
-      }
-      ev.threshold = *thr;
-    } else if (rebalance && key == "settle") {
-      auto settle = ParseInt(val, 1, 1 << 20);
-      if (!settle.ok()) {
-        return Status::InvalidArgument(
-            "resize: settle must be an integer >= 1, got '" +
-            std::string(val) + "'");
-      }
-      ev.settle = *settle;
-    } else if (rebalance && key == "max_moves") {
-      auto moves = ParseInt(val, 1, 1 << 20);
-      if (!moves.ok()) {
-        return Status::InvalidArgument(
-            "resize: max_moves must be an integer >= 1, got '" +
-            std::string(val) + "'");
-      }
-      ev.max_moves = *moves;
-    } else {
-      return Status::InvalidArgument("resize: unknown option '" +
-                                     std::string(key) + "' for " +
-                                     std::string(kind));
-    }
-    return Status::OK();
-  };
-  DECLUST_RETURN_NOT_OK(
-      ForEachKeyValue("resize", "event", item, rest.substr(at + 1), option));
-  if (!have_t) {
-    return Status::InvalidArgument("resize: event '" + std::string(item) +
-                                   "' has no t=");
-  }
-  return ev;
-}
+// Kinds in ResizeEvent::Kind order; slices: fills the plan itself.
+constexpr int kSlices = 3;
 
 }  // namespace
 
+const spec::Grammar& ResizePlan::grammar() {
+  using spec::Into;
+  using spec::Presence;
+  constexpr spec::Head kNodes = spec::NodeRangeHead(Into<&ResizeEvent::lo>,
+                                                    Into<&ResizeEvent::hi>);
+  constexpr spec::Key kAt{"t", spec::Duration(), Into<&ResizeEvent::at_ms>,
+                          Presence::kRequired};
+  constexpr spec::Key kRate =
+      spec::RateKey(Into<&ResizeEvent::rate_mb_per_sec>);
+  constexpr spec::Key kBatch = spec::BatchKey(Into<&ResizeEvent::batch_pages>);
+  static const spec::Grammar kGrammar{
+      "resize",
+      "item",
+      {{.name = "add", .head = kNodes, .keys = {kAt, kRate, kBatch}},
+       {.name = "remove", .head = kNodes, .keys = {kAt, kRate, kBatch}},
+       {.name = "rebalance",
+        .head = spec::WordHead("auto"),
+        .keys = {kAt,
+                 {"every", spec::ExcludeLo(spec::Duration()),
+                  Into<&ResizeEvent::every_ms>},
+                 {"threshold", spec::Number(1, 1e6),
+                  Into<&ResizeEvent::threshold>},
+                 {"settle", spec::Integer(1, 1 << 20),
+                  Into<&ResizeEvent::settle>},
+                 {"max_moves", spec::Integer(1, 1 << 20),
+                  Into<&ResizeEvent::max_moves>},
+                 kRate,
+                 kBatch}},
+       {.name = "slices",
+        .head = spec::ValueHead(spec::Integer(2, 1 << 12),
+                                Into<&ResizePlan::slices_override_>),
+        .once = true}}};
+  return kGrammar;
+}
+
 Result<ResizePlan> ResizePlan::Parse(std::string_view spec) {
+  const spec::Grammar& g = grammar();
+  DECLUST_ASSIGN_OR_RETURN(const std::vector<spec::Item> items, g.Split(spec));
   ResizePlan plan;
-  for (const std::string_view item : SplitPlanItems(spec)) {
-    const auto colon = item.find(':');
-    if (colon == std::string_view::npos) {
-      return Status::InvalidArgument("resize: missing ':' in item '" +
-                                     std::string(item) + "'");
+  for (const spec::Item& item : items) {
+    if (item.kind == kSlices) {
+      DECLUST_RETURN_NOT_OK(g.Fill(item, &plan));
+      continue;
     }
-    const std::string_view kind = Trim(item.substr(0, colon));
-    const std::string_view body = Trim(item.substr(colon + 1));
-    if (kind == "slices") {
-      if (plan.slices_override_ != 0) {
-        return Status::InvalidArgument("resize: duplicate 'slices:' item");
-      }
-      auto n = ParseInt(body, 2, 1 << 12);
-      if (!n.ok()) {
-        return Status::InvalidArgument(
-            "resize: slices must be an integer in [2, 4096], got '" +
-            std::string(body) + "'");
-      }
-      plan.slices_override_ = *n;
-    } else if (kind == "add" || kind == "remove" || kind == "rebalance") {
-      DECLUST_ASSIGN_OR_RETURN(ResizeEvent ev, ParseEvent(item, kind, body));
-      plan.events_.push_back(ev);
-    } else {
-      return Status::InvalidArgument(
-          "resize: unknown kind '" + std::string(kind) +
-          "' (expected add, remove, rebalance or slices)");
-    }
+    ResizeEvent& ev = plan.events_.emplace_back();
+    ev.kind = static_cast<ResizeEvent::Kind>(item.kind);
+    DECLUST_RETURN_NOT_OK(g.Fill(item, &ev));
   }
   std::stable_sort(plan.events_.begin(), plan.events_.end(),
                    [](const ResizeEvent& a, const ResizeEvent& b) {
@@ -189,10 +94,10 @@ Status ResizePlan::Validate(int initial_nodes, double horizon_ms) const {
           ev.at_ms + static_cast<double>(ev.settle) * ev.every_ms >
               horizon_ms) {
         return Status::InvalidArgument(
-            "resize: rebalance:auto at " + FormatMs(ev.at_ms) +
+            "resize: rebalance:auto at " + spec::FormatMs(ev.at_ms) +
             " can never trigger: settle=" + std::to_string(ev.settle) +
-            " x every=" + FormatMs(ev.every_ms) + " exceeds the " +
-            FormatMs(horizon_ms) + " run horizon");
+            " x every=" + spec::FormatMs(ev.every_ms) + " exceeds the " +
+            spec::FormatMs(horizon_ms) + " run horizon");
       }
       continue;
     }
@@ -202,14 +107,14 @@ Status ResizePlan::Validate(int initial_nodes, double horizon_ms) const {
       if (n >= static_cast<int>(member.size())) {
         return Status::InvalidArgument(
             "resize: remove of node " + std::to_string(n) + " at " +
-            FormatMs(ev.at_ms) + " but it is not a member");
+            spec::FormatMs(ev.at_ms) + " but it is not a member");
       }
       char& m = member[static_cast<size_t>(n)];
       if (ev.kind == ResizeEvent::Kind::kAdd) {
         if (m) {
           return Status::InvalidArgument(
               "resize: add of node " + std::to_string(n) + " at " +
-              FormatMs(ev.at_ms) + " but it is already a member");
+              spec::FormatMs(ev.at_ms) + " but it is already a member");
         }
         m = 1;
         ++count;
@@ -217,13 +122,13 @@ Status ResizePlan::Validate(int initial_nodes, double horizon_ms) const {
         if (!m) {
           return Status::InvalidArgument(
               "resize: remove of node " + std::to_string(n) + " at " +
-              FormatMs(ev.at_ms) + " but it is not a member");
+              spec::FormatMs(ev.at_ms) + " but it is not a member");
         }
         m = 0;
         if (--count < 2) {
           return Status::InvalidArgument(
               "resize: membership would drop below 2 nodes at " +
-              FormatMs(ev.at_ms));
+              spec::FormatMs(ev.at_ms));
         }
       }
     }
@@ -262,43 +167,9 @@ int ResizePlan::NumMembershipEvents() const {
 
 std::string ResizePlan::ToString() const {
   std::string out;
-  if (slices_override_ != 0) {
-    out += "slices:" + std::to_string(slices_override_);
-  }
+  if (slices_override_ != 0) grammar().Print(kSlices, *this, &out);
   for (const ResizeEvent& ev : events_) {
-    if (!out.empty()) out += ";";
-    char buf[32];
-    switch (ev.kind) {
-      case ResizeEvent::Kind::kAdd:
-      case ResizeEvent::Kind::kRemove:
-        out += ev.kind == ResizeEvent::Kind::kAdd ? "add:node" : "remove:node";
-        out += std::to_string(ev.lo);
-        if (ev.hi != ev.lo) {
-          out += '-';
-          out += std::to_string(ev.hi);
-        }
-        out += "@t=" + FormatMs(ev.at_ms);
-        break;
-      case ResizeEvent::Kind::kRebalance:
-        out += "rebalance:auto@t=" + FormatMs(ev.at_ms);
-        if (ev.every_ms != 2000.0) out += ",every=" + FormatMs(ev.every_ms);
-        if (ev.threshold != 1.5) {
-          std::snprintf(buf, sizeof(buf), ",threshold=%g", ev.threshold);
-          out += buf;
-        }
-        if (ev.settle != 2) out += ",settle=" + std::to_string(ev.settle);
-        if (ev.max_moves != 4) {
-          out += ",max_moves=" + std::to_string(ev.max_moves);
-        }
-        break;
-    }
-    if (ev.rate_mb_per_sec > 0.0) {
-      std::snprintf(buf, sizeof(buf), ",rate=%g", ev.rate_mb_per_sec);
-      out += buf;
-    }
-    if (ev.batch_pages != 8) {
-      out += ",batch=" + std::to_string(ev.batch_pages);
-    }
+    grammar().Print(static_cast<int>(ev.kind), ev, &out);
   }
   return out;
 }

@@ -2,12 +2,8 @@
 // migration subsystem.
 //
 // A ResizePlan is the membership-side counterpart of sim::FaultPlan and
-// recover::RecoveryPlan: a parsed, validated schedule in the same hardened
-// spec grammar (src/common/parse does the number validation; duplicate
-// keys, trailing junk and out-of-range values are rejected with
-// InvalidArgument).
+// recover::RecoveryPlan, in the plan grammar of DESIGN.md ("Plan grammar").
 //
-// Item grammar (items separated by `;`):
 //   add:nodeA[-B]@t=T[,rate=R][,batch=P]
 //     Nodes A..B join the cluster at T; the migration coordinator moves
 //     slices onto them (balanced, deterministic) and re-chains backups.
@@ -26,10 +22,10 @@
 //     granularity). Defaults to the largest physical node index the plan
 //     ever reaches + 1, and may only be raised.
 //
-//   T, D  durations; `s` or `ms` suffix, default seconds
+//   T, D  durations (D > 0, default 2s)
 //   R     migration throttle in MB/s of copied data (0/omitted = none)
 //   P     pages copied per migration batch (>= 1, default 8)
-//   X     load-imbalance trigger ratio (> 1, default 1.5)
+//   X     load-imbalance trigger ratio (>= 1, default 1.5)
 //   K     consecutive above-threshold checks required (>= 1, default 2)
 //   M     max slice moves per rebalance burst (>= 1, default 4)
 #pragma once
@@ -39,6 +35,7 @@
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/common/spec.h"
 #include "src/common/status.h"
 
 namespace declust::resize {
@@ -55,7 +52,7 @@ struct ResizeEvent {
   /// Migration throttle in MB (1e6 bytes) per second; 0 means unthrottled.
   double rate_mb_per_sec = 0.0;
   /// Pages copied per migration batch.
-  int batch_pages = 8;
+  int batch_pages = spec::kDefaultBatchPages;
   // Rebalance-only knobs.
   double every_ms = 2000.0;
   double threshold = 1.5;
@@ -68,9 +65,10 @@ class ResizePlan {
  public:
   ResizePlan() = default;
 
-  /// Parses the `--resize` spec grammar described in the file comment.
-  /// Returns InvalidArgument with the offending text on malformed input.
+  /// Parses a `--resize` spec; InvalidArgument on malformed input.
   static Result<ResizePlan> Parse(std::string_view spec);
+  /// The kinds and keys Parse accepts and ToString prints.
+  static const spec::Grammar& grammar();
 
   bool empty() const { return events_.empty() && slices_override_ == 0; }
   const std::vector<ResizeEvent>& events() const { return events_; }
@@ -98,8 +96,7 @@ class ResizePlan {
   /// [start, done] boundary pair, so a run has 2K+1 reporting phases.
   int NumMembershipEvents() const;
 
-  /// Round-trips the plan back to canonical spec form (diagnostics). Parse
-  /// of the result yields an identical plan.
+  /// The plan in canonical spec form.
   std::string ToString() const;
 
  private:

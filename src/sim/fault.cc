@@ -1,131 +1,50 @@
 #include "src/sim/fault.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <string_view>
-
-#include "src/common/parse.h"
 
 namespace declust::sim {
 
-namespace {
-
-Result<double> ParseNumber(std::string_view s, std::string_view what) {
-  const std::string buf(s);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end == buf.c_str() || end != buf.c_str() + buf.size()) {
-    return Status::InvalidArgument("faults: bad " + std::string(what) +
-                                   " value '" + buf + "'");
-  }
-  return v;
+const spec::Grammar& FaultPlan::grammar() {
+  using spec::Into;
+  using spec::Presence;
+  constexpr spec::Head kNode = spec::NodeHead(Into<&FaultEvent::node>);
+  constexpr spec::Key kAt{"t", spec::Duration(), Into<&FaultEvent::at_ms>,
+                          Presence::kRequired};
+  constexpr spec::Key kFor{"for", spec::Duration(),
+                           Into<&FaultEvent::duration_ms>};
+  // Kinds in FaultKind order.
+  static const spec::Grammar kGrammar{
+      "faults",
+      "event",
+      {{.name = "disk", .head = kNode, .keys = {kAt}},
+       {.name = "io",
+        .head = kNode,
+        .keys = {kAt,
+                 {"rate", spec::Number(0, 1), Into<&FaultEvent::rate>,
+                  Presence::kShown},
+                 kFor}},
+       {.name = "slow",
+        .head = kNode,
+        .keys = {kAt,
+                 {"x", spec::Number(1), Into<&FaultEvent::factor>,
+                  Presence::kShown},
+                 kFor}},
+       {.name = "crash",
+        .head = kNode,
+        .keys = {kAt,
+                 {"down", spec::Duration(), Into<&FaultEvent::duration_ms>}}}}};
+  return kGrammar;
 }
-
-/// A duration with an optional `ms` or `s` suffix (default seconds),
-/// converted to milliseconds.
-Result<double> ParseTimeMs(std::string_view s, std::string_view what) {
-  double scale = 1000.0;  // bare numbers are seconds
-  if (s.size() >= 2 && s.substr(s.size() - 2) == "ms") {
-    scale = 1.0;
-    s.remove_suffix(2);
-  } else if (!s.empty() && s.back() == 's') {
-    s.remove_suffix(1);
-  }
-  DECLUST_ASSIGN_OR_RETURN(const double v, ParseNumber(s, what));
-  if (v < 0) {
-    return Status::InvalidArgument("faults: negative time for " +
-                                   std::string(what));
-  }
-  return v * scale;
-}
-
-Result<FaultEvent> ParseEvent(std::string_view item) {
-  FaultEvent ev;
-  const auto colon = item.find(':');
-  if (colon == std::string_view::npos) {
-    return Status::InvalidArgument("faults: missing ':' in event '" +
-                                   std::string(item) + "'");
-  }
-  const std::string_view kind = Trim(item.substr(0, colon));
-  if (kind == "disk") {
-    ev.kind = FaultKind::kDiskFail;
-  } else if (kind == "io") {
-    ev.kind = FaultKind::kIoError;
-  } else if (kind == "slow") {
-    ev.kind = FaultKind::kSlowNode;
-  } else if (kind == "crash") {
-    ev.kind = FaultKind::kCrash;
-  } else {
-    return Status::InvalidArgument(
-        "faults: unknown kind '" + std::string(kind) +
-        "' (expected disk|io|slow|crash)");
-  }
-
-  std::string_view rest = Trim(item.substr(colon + 1));
-  const auto at = rest.find('@');
-  if (at == std::string_view::npos) {
-    return Status::InvalidArgument("faults: missing '@t=' in event '" +
-                                   std::string(item) + "'");
-  }
-  std::string_view target = Trim(rest.substr(0, at));
-  if (target.substr(0, 4) != "node") {
-    return Status::InvalidArgument("faults: target must be 'nodeN', got '" +
-                                   std::string(target) + "'");
-  }
-  DECLUST_ASSIGN_OR_RETURN(const double node,
-                           ParseNumber(target.substr(4), "node index"));
-  if (node < 0 || node != static_cast<int>(node)) {
-    return Status::InvalidArgument("faults: bad node index in '" +
-                                   std::string(target) + "'");
-  }
-  ev.node = static_cast<int>(node);
-
-  // Options: first must be t=TIME, then kind-specific key=value pairs.
-  bool have_t = false;
-  const auto option = [&](std::string_view key,
-                          std::string_view val) -> Status {
-    if (key == "t") {
-      DECLUST_ASSIGN_OR_RETURN(ev.at_ms, ParseTimeMs(val, "t"));
-      have_t = true;
-    } else if (key == "rate" && ev.kind == FaultKind::kIoError) {
-      DECLUST_ASSIGN_OR_RETURN(ev.rate, ParseNumber(val, "rate"));
-      if (ev.rate < 0.0 || ev.rate > 1.0) {
-        return Status::InvalidArgument("faults: rate must be in [0,1]");
-      }
-    } else if (key == "x" && ev.kind == FaultKind::kSlowNode) {
-      DECLUST_ASSIGN_OR_RETURN(ev.factor, ParseNumber(val, "x"));
-      if (ev.factor < 1.0) {
-        return Status::InvalidArgument("faults: slow factor must be >= 1");
-      }
-    } else if (key == "for" && (ev.kind == FaultKind::kIoError ||
-                                ev.kind == FaultKind::kSlowNode)) {
-      DECLUST_ASSIGN_OR_RETURN(ev.duration_ms, ParseTimeMs(val, "for"));
-    } else if (key == "down" && ev.kind == FaultKind::kCrash) {
-      DECLUST_ASSIGN_OR_RETURN(ev.duration_ms, ParseTimeMs(val, "down"));
-    } else {
-      return Status::InvalidArgument("faults: unknown option '" +
-                                     std::string(key) + "' for kind '" +
-                                     std::string(kind) + "'");
-    }
-    return Status::OK();
-  };
-  DECLUST_RETURN_NOT_OK(
-      ForEachKeyValue("faults", "event", item, rest.substr(at + 1), option));
-  if (!have_t) {
-    return Status::InvalidArgument("faults: event '" + std::string(item) +
-                                   "' has no t=");
-  }
-  return ev;
-}
-
-}  // namespace
 
 Result<FaultPlan> FaultPlan::Parse(std::string_view spec) {
+  const spec::Grammar& g = grammar();
+  DECLUST_ASSIGN_OR_RETURN(const std::vector<spec::Item> items, g.Split(spec));
   FaultPlan plan;
-  for (const std::string_view item : SplitPlanItems(spec)) {
-    DECLUST_ASSIGN_OR_RETURN(FaultEvent ev, ParseEvent(item));
-    plan.events_.push_back(ev);
+  for (const spec::Item& item : items) {
+    FaultEvent& ev = plan.events_.emplace_back();
+    ev.kind = static_cast<FaultKind>(item.kind);
+    DECLUST_RETURN_NOT_OK(g.Fill(item, &ev));
   }
   std::stable_sort(plan.events_.begin(), plan.events_.end(),
                    [](const FaultEvent& a, const FaultEvent& b) {
@@ -144,37 +63,7 @@ int FaultPlan::max_node() const {
 std::string FaultPlan::ToString() const {
   std::string out;
   for (const FaultEvent& ev : events_) {
-    if (!out.empty()) out += ";";
-    switch (ev.kind) {
-      case FaultKind::kDiskFail:
-        out += "disk";
-        break;
-      case FaultKind::kIoError:
-        out += "io";
-        break;
-      case FaultKind::kSlowNode:
-        out += "slow";
-        break;
-      case FaultKind::kCrash:
-        out += "crash";
-        break;
-    }
-    out += ":node" + std::to_string(ev.node) + "@t=" + FormatMs(ev.at_ms);
-    const bool finite = ev.duration_ms !=
-                        std::numeric_limits<double>::infinity();
-    if (ev.kind == FaultKind::kIoError) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), ",rate=%g", ev.rate);
-      out += buf;
-      if (finite) out += ",for=" + FormatMs(ev.duration_ms);
-    } else if (ev.kind == FaultKind::kSlowNode) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), ",x=%g", ev.factor);
-      out += buf;
-      if (finite) out += ",for=" + FormatMs(ev.duration_ms);
-    } else if (ev.kind == FaultKind::kCrash && finite) {
-      out += ",down=" + FormatMs(ev.duration_ms);
-    }
+    grammar().Print(static_cast<int>(ev.kind), ev, &out);
   }
   return out;
 }

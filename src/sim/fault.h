@@ -8,15 +8,15 @@
 // only on each node's own operation sequence — identical across `--jobs`
 // values and across runs with the same seed.
 //
-// Supported event kinds:
+// Event kinds, in the plan grammar of DESIGN.md ("Plan grammar"):
 //   disk:nodeN@t=T            permanent disk failure at time T
-//   io:nodeN@t=T,rate=R,for=D transient read/write errors with probability R
-//                             during [T, T+D) (for= omitted -> forever)
-//   slow:nodeN@t=T,x=F,for=D  straggler: service times scaled by F in window
+//   io:nodeN@t=T,rate=R,for=D transient read/write errors with probability
+//                             R in [0, 1] (default 0.05) during [T, T+D)
+//                             (for= omitted -> forever)
+//   slow:nodeN@t=T,x=F,for=D  straggler: service times scaled by F >= 1
+//                             (default 2) in the window
 //   crash:nodeN@t=T,down=D    node crash at T, recovers after D (down=
 //                             omitted -> never recovers)
-// Times accept `s` or `ms` suffixes (default seconds). Events are separated
-// by `;`.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +26,7 @@
 
 #include "src/common/random.h"
 #include "src/common/result.h"
+#include "src/common/spec.h"
 #include "src/common/status.h"
 
 namespace declust::sim {
@@ -54,9 +55,10 @@ class FaultPlan {
  public:
   FaultPlan() = default;
 
-  /// Parses the `--faults` spec grammar described in the file comment.
-  /// Returns InvalidArgument with a position hint on malformed input.
+  /// Parses a `--faults` spec; InvalidArgument on malformed input.
   static Result<FaultPlan> Parse(std::string_view spec);
+  /// The kinds and keys Parse accepts and ToString prints.
+  static const spec::Grammar& grammar();
 
   bool empty() const { return events_.empty(); }
   const std::vector<FaultEvent>& events() const { return events_; }
@@ -64,7 +66,7 @@ class FaultPlan {
   /// validate this against the machine size before wiring the plan in.
   int max_node() const;
 
-  /// Round-trips the plan back to canonical spec form (diagnostics).
+  /// The plan in canonical spec form.
   std::string ToString() const;
 
  private:

@@ -1,187 +1,90 @@
 #include "src/workload/open.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
-
-#include "src/common/parse.h"
 
 namespace declust::workload {
 
 namespace {
 
-/// Splits `body` at '@' and parses the mandatory-or-defaulted `t=T` suffix.
-/// When `require_at` is false a missing '@' means t=0.
-Result<double> ParseAtTime(std::string_view item, std::string_view tail,
-                           bool found) {
-  if (!found) return 0.0;
-  const auto eq = tail.find('=');
-  if (eq == std::string_view::npos || Trim(tail.substr(0, eq)) != "t") {
-    return Status::InvalidArgument("open: expected 't=TIME' after '@' in '" +
-                                   std::string(item) + "'");
-  }
-  return ParseTimeMs("open", Trim(tail.substr(eq + 1)), "t");
-}
-
-std::string FormatG(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
+// Kinds in grammar order.
+enum OpenKind { kRate, kBurst, kZipf, kTail, kRelation, kCap };
 
 }  // namespace
 
-Result<OpenPlan> OpenPlan::Parse(std::string_view spec) {
-  OpenPlan plan;
-  for (const std::string_view item : SplitPlanItems(spec)) {
-    const auto colon = item.find(':');
-    if (colon == std::string_view::npos) {
-      return Status::InvalidArgument("open: missing ':' in item '" +
-                                     std::string(item) + "'");
-    }
-    const std::string_view kind = Trim(item.substr(0, colon));
-    const std::string_view body = Trim(item.substr(colon + 1));
-    const auto at = body.find('@');
-    const std::string_view head =
-        Trim(at == std::string_view::npos ? body : body.substr(0, at));
-    const std::string_view at_tail =
-        at == std::string_view::npos ? std::string_view() : body.substr(at + 1);
+const spec::Grammar& OpenPlan::grammar() {
+  using spec::Into;
+  using spec::Presence;
+  static const spec::Grammar kGrammar{
+      "open",
+      "item",
+      {{.name = "rate",
+        .head = spec::ValueHead(spec::Number(0, 1e9),
+                                Into<&RatePoint::per_sec>),
+        .keys = {{"t", spec::Duration(), Into<&RatePoint::at_ms>,
+                  Presence::kShown}}},
+       {.name = "burst",
+        .head = spec::ValueHead(spec::Integer(1, 1 << 20),
+                                Into<&BurstPoint::count>),
+        .keys = {{"t", spec::Duration(), Into<&BurstPoint::at_ms>,
+                  Presence::kRequired}}},
+       {.name = "zipf",
+        .head = spec::ValueHead(spec::Number(0, 8), Into<&OpenPlan::zipf_s_>),
+        .once = true},
+       {.name = "tail",
+        .keys = {{"p", spec::Number(0, 0.999999), Into<&OpenPlan::tail_p_>,
+                  Presence::kRequired},
+                 {"x", spec::Number(1, 1e6), Into<&OpenPlan::tail_x_>,
+                  Presence::kRequired}},
+        .once = true},
+       {.name = "relation",
+        .keys = {{"card", spec::Integer(2, 17179869184.0),  // 2^34
+                  Into<&OpenRelationSpec::cardinality>, Presence::kRequired},
+                 {"weight", spec::Number(1e-9, 1e9),
+                  Into<&OpenRelationSpec::weight>},
+                 {"corr", spec::Number(-1, 1),
+                  Into<&OpenRelationSpec::correlation>}}},
+       {.name = "cap",
+        .head = spec::ValueHead(spec::Integer(1, 1 << 22),
+                                Into<&OpenPlan::max_in_flight_>),
+        .once = true}}};
+  return kGrammar;
+}
 
-    if (kind == "rate") {
-      RatePoint rp;
-      auto r = ParseDouble(head, 0.0, 1e9);
-      if (!r.ok()) {
-        return Status::InvalidArgument("open: bad rate value '" +
-                                       std::string(head) + "'");
-      }
-      rp.per_sec = *r;
-      DECLUST_ASSIGN_OR_RETURN(
-          rp.at_ms, ParseAtTime(item, at_tail, at != std::string_view::npos));
-      // A non-monotone (or duplicated) schedule would silently reorder the
-      // load curve; reject it instead of sorting.
-      if (!plan.rates_.empty() && rp.at_ms <= plan.rates_.back().at_ms) {
-        return Status::InvalidArgument(
-            "open: rate schedule must be strictly increasing in t ('" +
-            std::string(item) + "' at " + FormatMs(rp.at_ms) +
-            " does not follow " + FormatMs(plan.rates_.back().at_ms) + ")");
-      }
-      plan.rates_.push_back(rp);
-    } else if (kind == "burst") {
-      BurstPoint bp;
-      auto n = ParseInt(head, 1, 1 << 20);
-      if (!n.ok()) {
-        return Status::InvalidArgument(
-            "open: burst count must be an integer >= 1, got '" +
-            std::string(head) + "'");
-      }
-      bp.count = *n;
-      if (at == std::string_view::npos) {
-        return Status::InvalidArgument("open: missing '@t=' in burst '" +
-                                       std::string(item) + "'");
-      }
-      DECLUST_ASSIGN_OR_RETURN(bp.at_ms, ParseAtTime(item, at_tail, true));
-      plan.bursts_.push_back(bp);
-    } else if (kind == "zipf") {
-      if (plan.have_zipf_) {
-        return Status::InvalidArgument("open: duplicate 'zipf:' item");
-      }
-      auto s = ParseDouble(body, 0.0, 8.0);
-      if (!s.ok()) {
-        return Status::InvalidArgument(
-            "open: zipf skew must be in [0, 8], got '" + std::string(body) +
-            "'");
-      }
-      plan.zipf_s_ = *s;
-      plan.have_zipf_ = true;
-    } else if (kind == "tail" || kind == "relation") {
-      const bool is_tail = kind == "tail";
-      OpenRelationSpec rel;
-      bool have_card = false, have_p = false, have_x = false;
-      const auto option = [&](std::string_view key,
-                              std::string_view val) -> Status {
-        if (is_tail && key == "p") {
-          auto p = ParseDouble(val, 0.0, 0.999999);
-          if (!p.ok()) {
-            return Status::InvalidArgument(
-                "open: tail p must be in [0, 1), got '" + std::string(val) +
-                "'");
-          }
-          plan.tail_p_ = *p;
-          have_p = true;
-        } else if (is_tail && key == "x") {
-          auto x = ParseDouble(val, 1.0, 1e6);
-          if (!x.ok()) {
-            return Status::InvalidArgument(
-                "open: tail x must be >= 1, got '" + std::string(val) + "'");
-          }
-          plan.tail_x_ = *x;
-          have_x = true;
-        } else if (!is_tail && key == "card") {
-          auto card = ParseInt64(val, 2, int64_t{1} << 34);
-          if (!card.ok()) {
-            return Status::InvalidArgument(
-                "open: relation card must be an integer >= 2, got '" +
-                std::string(val) + "'");
-          }
-          rel.cardinality = *card;
-          have_card = true;
-        } else if (!is_tail && key == "weight") {
-          auto w = ParseDouble(val, 1e-9, 1e9);
-          if (!w.ok()) {
-            return Status::InvalidArgument(
-                "open: relation weight must be > 0, got '" + std::string(val) +
-                "'");
-          }
-          rel.weight = *w;
-        } else if (!is_tail && key == "corr") {
-          auto c = ParseDouble(val, -1.0, 1.0);
-          if (!c.ok()) {
-            return Status::InvalidArgument(
-                "open: relation corr must be in [-1, 1], got '" +
-                std::string(val) + "'");
-          }
-          rel.correlation = *c;
-        } else {
-          return Status::InvalidArgument("open: unknown option '" +
-                                         std::string(key) + "' for " +
-                                         std::string(kind));
-        }
-        return Status::OK();
-      };
-      DECLUST_RETURN_NOT_OK(
-          ForEachKeyValue("open", "item", item, body, option));
-      if (is_tail) {
-        if (plan.have_tail_) {
-          return Status::InvalidArgument("open: duplicate 'tail:' item");
-        }
-        if (!have_p || !have_x) {
+Result<OpenPlan> OpenPlan::Parse(std::string_view spec) {
+  const spec::Grammar& g = grammar();
+  DECLUST_ASSIGN_OR_RETURN(const std::vector<spec::Item> items, g.Split(spec));
+  OpenPlan plan;
+  for (const spec::Item& item : items) {
+    switch (item.kind) {
+      case kRate: {
+        RatePoint rp;
+        DECLUST_RETURN_NOT_OK(g.Fill(item, &rp));
+        // A non-monotone (or duplicated) schedule would silently reorder the
+        // load curve; reject it instead of sorting.
+        if (!plan.rates_.empty() && rp.at_ms <= plan.rates_.back().at_ms) {
           return Status::InvalidArgument(
-              "open: tail needs both p= and x= ('" + std::string(item) + "')");
+              "open: rate schedule must be strictly increasing in t ('" +
+              std::string(item.text) + "' at " + spec::FormatMs(rp.at_ms) +
+              " does not follow " + spec::FormatMs(plan.rates_.back().at_ms) +
+              ")");
         }
-        plan.have_tail_ = true;
-      } else {
-        if (!have_card) {
-          return Status::InvalidArgument("open: relation needs card= ('" +
-                                         std::string(item) + "')");
-        }
-        plan.extra_relations_.push_back(rel);
+        plan.rates_.push_back(rp);
+        break;
       }
-    } else if (kind == "cap") {
-      if (plan.have_cap_) {
-        return Status::InvalidArgument("open: duplicate 'cap:' item");
-      }
-      auto cap = ParseInt(body, 1, 1 << 22);
-      if (!cap.ok()) {
-        return Status::InvalidArgument(
-            "open: cap must be an integer >= 1, got '" + std::string(body) +
-            "'");
-      }
-      plan.max_in_flight_ = *cap;
-      plan.have_cap_ = true;
-    } else {
-      return Status::InvalidArgument(
-          "open: unknown kind '" + std::string(kind) +
-          "' (expected rate, burst, zipf, tail, relation or cap)");
+      case kBurst:
+        DECLUST_RETURN_NOT_OK(g.Fill(item, &plan.bursts_.emplace_back()));
+        break;
+      case kRelation:
+        DECLUST_RETURN_NOT_OK(
+            g.Fill(item, &plan.extra_relations_.emplace_back()));
+        break;
+      default:  // zipf:, tail: and cap: fill the plan's own knobs
+        DECLUST_RETURN_NOT_OK(g.Fill(item, &plan));
+        plan.have_zipf_ |= item.kind == kZipf;
+        plan.have_tail_ |= item.kind == kTail;
+        plan.have_cap_ |= item.kind == kCap;
+        break;
     }
   }
   std::stable_sort(plan.bursts_.begin(), plan.bursts_.end(),
@@ -236,28 +139,16 @@ void OpenPlan::OverrideConstantRate(double per_sec) {
 }
 
 std::string OpenPlan::ToString() const {
+  const spec::Grammar& g = grammar();
   std::string out;
-  auto append = [&out](const std::string& item) {
-    if (!out.empty()) out += ";";
-    out += item;
-  };
-  for (const RatePoint& rp : rates_) {
-    append("rate:" + FormatG(rp.per_sec) + "@t=" + FormatMs(rp.at_ms));
-  }
-  for (const BurstPoint& bp : bursts_) {
-    append("burst:" + std::to_string(bp.count) + "@t=" + FormatMs(bp.at_ms));
-  }
-  if (have_zipf_) append("zipf:" + FormatG(zipf_s_));
-  if (have_tail_) {
-    append("tail:p=" + FormatG(tail_p_) + ",x=" + FormatG(tail_x_));
-  }
+  for (const RatePoint& rp : rates_) g.Print(kRate, rp, &out);
+  for (const BurstPoint& bp : bursts_) g.Print(kBurst, bp, &out);
+  if (have_zipf_) g.Print(kZipf, *this, &out);
+  if (have_tail_) g.Print(kTail, *this, &out);
   for (const OpenRelationSpec& rel : extra_relations_) {
-    std::string item = "relation:card=" + std::to_string(rel.cardinality);
-    if (rel.weight != 1.0) item += ",weight=" + FormatG(rel.weight);
-    if (rel.correlation != 0.0) item += ",corr=" + FormatG(rel.correlation);
-    append(item);
+    g.Print(kRelation, rel, &out);
   }
-  if (have_cap_) append("cap:" + std::to_string(max_in_flight_));
+  if (have_cap_) g.Print(kCap, *this, &out);
   return out;
 }
 

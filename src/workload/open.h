@@ -2,12 +2,9 @@
 // multi-relation declarations for the open (non-closed-loop) driver.
 //
 // An OpenPlan is the workload-side counterpart of sim::FaultPlan,
-// recover::RecoveryPlan and resize::ResizePlan: a parsed, validated spec in
-// the same hardened grammar (src/common/parse does the number validation;
-// duplicate keys, trailing junk, out-of-range values and non-monotone
-// schedules are rejected with InvalidArgument).
+// recover::RecoveryPlan and resize::ResizePlan, in the plan grammar of
+// DESIGN.md ("Plan grammar").
 //
-// Item grammar (items separated by `;`):
 //   rate:R[@t=T]
 //     From time T on, queries arrive as a Poisson process at R queries per
 //     second (R = 0 pauses arrivals). T defaults to 0; rate items must be
@@ -36,8 +33,6 @@
 //   cap:N
 //     Admission cap: at most N queries in flight; arrivals beyond the cap
 //     are shed (counted, not queued). Default 4096. At most one.
-//
-//   T   duration; `s` or `ms` suffix, default seconds
 #pragma once
 
 #include <cmath>
@@ -48,6 +43,7 @@
 
 #include "src/common/random.h"
 #include "src/common/result.h"
+#include "src/common/spec.h"
 #include "src/common/status.h"
 #include "src/workload/querygen.h"
 
@@ -78,9 +74,10 @@ class OpenPlan {
  public:
   OpenPlan() = default;
 
-  /// Parses the `--open` spec grammar described in the file comment.
-  /// Returns InvalidArgument with the offending text on malformed input.
+  /// Parses an `--open` spec; InvalidArgument on malformed input.
   static Result<OpenPlan> Parse(std::string_view spec);
+  /// The kinds and keys Parse accepts and ToString prints.
+  static const spec::Grammar& grammar();
 
   bool empty() const { return rates_.empty() && bursts_.empty(); }
   const std::vector<RatePoint>& rates() const { return rates_; }
@@ -110,8 +107,7 @@ class OpenPlan {
   /// t=0 (the offered-load sweep overrides the plan's schedule per point).
   void OverrideConstantRate(double per_sec);
 
-  /// Round-trips the plan back to canonical spec form (diagnostics). Parse
-  /// of the result yields an identical plan.
+  /// The plan in canonical spec form.
   std::string ToString() const;
 
  private:

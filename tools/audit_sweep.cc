@@ -9,21 +9,12 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "src/common/parse.h"
-#include "src/control/plan.h"
-#include "src/exp/report.h"
 #include "src/exp/runner.h"
-#include "src/recover/plan.h"
-#include "src/resize/plan.h"
-#include "src/sim/fault.h"
+#include "tools/cli.h"
 
-namespace {
-
-using namespace declust;  // NOLINT(build/namespaces)
+namespace declust::tools {
 
 void Usage() {
   std::cerr <<
@@ -54,64 +45,10 @@ void Usage() {
       "  --skip-differential  only run the in-sweep invariants + oracle\n";
 }
 
-std::vector<std::string> SplitCsv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
+}  // namespace declust::tools
 
-int64_t RequireInt64(const char* flag, std::string_view value, int64_t min,
-                     int64_t max) {
-  const auto parsed = ParseInt64(value, min, max);
-  if (!parsed.ok()) {
-    std::cerr << flag << ": " << parsed.status().message() << "\n\n";
-    Usage();
-    std::exit(2);
-  }
-  return *parsed;
-}
-
-int RequireInt(const char* flag, std::string_view value, int min, int max) {
-  return static_cast<int>(RequireInt64(flag, value, min, max));
-}
-
-double RequireDouble(const char* flag, std::string_view value, double min,
-                     double max) {
-  const auto parsed = ParseDouble(value, min, max);
-  if (!parsed.ok()) {
-    std::cerr << flag << ": " << parsed.status().message() << "\n\n";
-    Usage();
-    std::exit(2);
-  }
-  return *parsed;
-}
-
-bool ParseMix(const std::string& name, exp::ExperimentConfig* cfg) {
-  using workload::ResourceClass;
-  if (name == "low-low") {
-    cfg->qa = ResourceClass::kLow;
-    cfg->qb = ResourceClass::kLow;
-  } else if (name == "low-moderate") {
-    cfg->qa = ResourceClass::kLow;
-    cfg->qb = ResourceClass::kModerate;
-  } else if (name == "moderate-low") {
-    cfg->qa = ResourceClass::kModerate;
-    cfg->qb = ResourceClass::kLow;
-  } else if (name == "moderate-moderate") {
-    cfg->qa = ResourceClass::kModerate;
-    cfg->qb = ResourceClass::kModerate;
-  } else {
-    return false;
-  }
-  cfg->name = name;
-  return true;
-}
-
-}  // namespace
+using namespace declust;         // NOLINT(build/namespaces)
+using namespace declust::tools;  // NOLINT(build/namespaces)
 
 int main(int argc, char** argv) {
   exp::ExperimentConfig cfg;
@@ -172,36 +109,12 @@ int main(int argc, char** argv) {
       runner_opts.jobs = RequireInt("--jobs", next(), 0, 1 << 20);
     } else if (arg == "--faults") {
       cfg.faults = next();
-      auto plan = sim::FaultPlan::Parse(cfg.faults);
-      if (!plan.ok()) {
-        std::cerr << "bad --faults spec: " << plan.status().ToString()
-                  << "\n";
-        return 2;
-      }
     } else if (arg == "--recovery") {
       cfg.recovery = next();
-      auto plan = recover::RecoveryPlan::Parse(cfg.recovery);
-      if (!plan.ok()) {
-        std::cerr << "bad --recovery spec: " << plan.status().ToString()
-                  << "\n";
-        return 2;
-      }
     } else if (arg == "--resize") {
       cfg.resize = next();
-      auto plan = resize::ResizePlan::Parse(cfg.resize);
-      if (!plan.ok()) {
-        std::cerr << "bad --resize spec: " << plan.status().ToString()
-                  << "\n";
-        return 2;
-      }
     } else if (arg == "--control") {
       cfg.control = next();
-      auto plan = control::ControlPlan::Parse(cfg.control);
-      if (!plan.ok()) {
-        std::cerr << "bad --control spec: " << plan.status().ToString()
-                  << "\n";
-        return 2;
-      }
     } else if (arg == "--skip-differential") {
       run_differential = false;
     } else if (arg == "--help" || arg == "-h") {
@@ -213,6 +126,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+
+  RequireValidConfig(cfg);
 
   auto result = exp::RunThroughputSweep(cfg, runner_opts);
   if (!result.ok()) {

@@ -229,6 +229,39 @@ if ! "$SMOKE_DIR/tools/audit_sweep" "${SMOKE_ARGS[@]}"; then
   FAILED=1
 fi
 
+# Bad-spec smoke: a malformed plan spec must exit 2 at once, naming its
+# plan on stderr, in both tools (audit_sweep has no --open). nan once sent
+# a slow: factor into an endless loop, hence the hard kill.
+echo "=== relsmoke: malformed plan specs exit 2 ==="
+BAD_SPECS=(
+  "faults|--faults|slow:node0@t=0,x=nan"
+  "recovery|--faults|disk:node2@t=600ms|--recovery|repair:node2@t=inf"
+  "resize|--resize|add:node8@t=1s,batch=0x10"
+  "open|--open|rate:inf"
+  "control|--control|slo:p95<40ms,every=nan"
+  "faults|--degraded|1|--faults|io:node0@t=0,rate=nan"
+)
+for case in "${BAD_SPECS[@]}"; do
+  IFS='|' read -r -a bad <<< "$case"
+  plan="${bad[0]}"
+  for tool in run_experiment audit_sweep; do
+    if [[ "$tool" == audit_sweep && ( "$plan" == open || \
+          "${bad[1]}" == --degraded ) ]]; then
+      continue
+    fi
+    status=0
+    err="$(timeout -s KILL 10 "$SMOKE_DIR/tools/$tool" "${SMOKE_ARGS[@]}" \
+      "${bad[@]:1}" 2>&1 >/dev/null)" || status=$?
+    if [[ "$status" == 2 && "$err" == *"$plan"* ]]; then
+      echo "relsmoke: $tool ${bad[*]:1} exits 2 naming $plan"
+    else
+      echo "*** relsmoke: FAILED — $tool ${bad[*]:1} exited $status:" >&2
+      printf '%s\n' "$err" | head -3 >&2
+      FAILED=1
+    fi
+  done
+done
+
 if [[ "$FAILED" != 0 ]]; then
   echo "ci_check: sanitizer gate FAILED" >&2
   exit 1

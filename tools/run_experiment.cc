@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "src/common/atomic_file.h"
-#include "src/common/parse.h"
-#include "src/control/plan.h"
 #include "src/exp/control.h"
 #include "src/exp/degraded.h"
 #include "src/exp/interrupt.h"
@@ -20,14 +18,10 @@
 #include "src/exp/report.h"
 #include "src/exp/resize.h"
 #include "src/exp/runner.h"
-#include "src/recover/plan.h"
-#include "src/resize/plan.h"
 #include "src/sim/fault.h"
-#include "src/workload/open.h"
+#include "tools/cli.h"
 
-namespace {
-
-using namespace declust;  // NOLINT(build/namespaces)
+namespace declust::tools {
 
 void Usage() {
   std::cerr <<
@@ -115,44 +109,12 @@ void Usage() {
       "                     registry and simulator counters as JSON\n";
 }
 
-std::vector<std::string> SplitCsv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
+}  // namespace declust::tools
 
-/// Parses a numeric flag value or exits 2 with the offending flag named —
-/// the atoi-family's silent garbage-to-0 conversion used to let
-/// "--mpls 1,x" run a sweep at MPL 0.
-int64_t RequireInt64(const char* flag, std::string_view value, int64_t min,
-                     int64_t max) {
-  const auto parsed = ParseInt64(value, min, max);
-  if (!parsed.ok()) {
-    std::cerr << flag << ": " << parsed.status().message() << "\n\n";
-    Usage();
-    std::exit(2);
-  }
-  return *parsed;
-}
+namespace {
 
-int RequireInt(const char* flag, std::string_view value, int min, int max) {
-  return static_cast<int>(RequireInt64(flag, value, min, max));
-}
-
-double RequireDouble(const char* flag, std::string_view value, double min,
-                     double max) {
-  const auto parsed = ParseDouble(value, min, max);
-  if (!parsed.ok()) {
-    std::cerr << flag << ": " << parsed.status().message() << "\n\n";
-    Usage();
-    std::exit(2);
-  }
-  return *parsed;
-}
+using namespace declust;         // NOLINT(build/namespaces)
+using namespace declust::tools;  // NOLINT(build/namespaces)
 
 /// Prints an audited sweep's verdict to stderr; returns false on violations.
 bool ReportAudit(const exp::SweepResult& result) {
@@ -164,27 +126,6 @@ bool ReportAudit(const exp::SweepResult& result) {
     std::cerr << "  violation: " << msg << "\n";
   }
   return result.audit_violations == 0 && result.oracle_mismatches == 0;
-}
-
-bool ParseMix(const std::string& name, exp::ExperimentConfig* cfg) {
-  using workload::ResourceClass;
-  if (name == "low-low") {
-    cfg->qa = ResourceClass::kLow;
-    cfg->qb = ResourceClass::kLow;
-  } else if (name == "low-moderate") {
-    cfg->qa = ResourceClass::kLow;
-    cfg->qb = ResourceClass::kModerate;
-  } else if (name == "moderate-low") {
-    cfg->qa = ResourceClass::kModerate;
-    cfg->qb = ResourceClass::kLow;
-  } else if (name == "moderate-moderate") {
-    cfg->qa = ResourceClass::kModerate;
-    cfg->qb = ResourceClass::kModerate;
-  } else {
-    return false;
-  }
-  cfg->name = name;
-  return true;
 }
 
 /// SIGINT/SIGTERM request a cooperative stop: the runner finishes the
@@ -261,45 +202,14 @@ int main(int argc, char** argv) {
       runner_opts.jobs = RequireInt("--jobs", next(), 0, 1 << 20);
     } else if (arg == "--faults") {
       cfg.faults = next();
-      // Validate the spec up front so a typo fails fast with a parse
-      // error instead of surfacing mid-sweep.
-      auto plan = sim::FaultPlan::Parse(cfg.faults);
-      if (!plan.ok()) {
-        std::cerr << "bad --faults spec: " << plan.status().ToString()
-                  << "\n";
-        return 2;
-      }
     } else if (arg == "--recovery") {
       cfg.recovery = next();
-      auto plan = recover::RecoveryPlan::Parse(cfg.recovery);
-      if (!plan.ok()) {
-        std::cerr << "bad --recovery spec: " << plan.status().ToString()
-                  << "\n";
-        return 2;
-      }
     } else if (arg == "--resize") {
       cfg.resize = next();
-      auto plan = resize::ResizePlan::Parse(cfg.resize);
-      if (!plan.ok()) {
-        std::cerr << "bad --resize spec: " << plan.status().ToString()
-                  << "\n";
-        return 2;
-      }
     } else if (arg == "--control") {
       cfg.control = next();
-      auto plan = control::ControlPlan::Parse(cfg.control);
-      if (!plan.ok()) {
-        std::cerr << "bad --control spec: " << plan.status().ToString()
-                  << "\n";
-        return 2;
-      }
     } else if (arg == "--open") {
       cfg.open = next();
-      auto plan = workload::OpenPlan::Parse(cfg.open);
-      if (!plan.ok()) {
-        std::cerr << "bad --open spec: " << plan.status().ToString() << "\n";
-        return 2;
-      }
     } else if (arg == "--offered") {
       cfg.offered_loads.clear();
       for (const auto& l : SplitCsv(next())) {
@@ -337,20 +247,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Cross-field validation of the assembled config (e.g. a fault spec
-  // naming a node past --processors, which may be given in either order).
-  // The runner re-validates, but failing here exits 2 like every other
-  // malformed input instead of surfacing as a failed experiment.
-  {
-    exp::ExperimentConfig check = cfg;
-    if (degraded >= 0) check.faults.clear();  // degraded ignores --faults
-    const Status st = exp::ValidateExperimentConfig(check);
-    if (!st.ok()) {
-      std::cerr << st.message() << "\n\n";
-      Usage();
+  // The degraded sweep ignores --faults, but a malformed spec is still an
+  // error rather than something silently dropped.
+  exp::ExperimentConfig check = cfg;
+  if (degraded >= 0 && !cfg.faults.empty()) {
+    const auto plan = sim::FaultPlan::Parse(cfg.faults);
+    if (!plan.ok()) {
+      std::cerr << "bad --faults spec: " << plan.status().message() << "\n";
       return 2;
     }
+    check.faults.clear();
   }
+  RequireValidConfig(check);
 
   // A termination request must not lose the sweep points already measured:
   // the handler only sets a flag, the runner stops launching replications,
