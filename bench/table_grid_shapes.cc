@@ -66,7 +66,7 @@ int Run() {
     const auto* mp =
         dynamic_cast<const decluster::MagicPartitioning*>(magic->get());
     std::cout << std::left << std::setw(20) << mix_names[m] << std::setw(12)
-              << mp->grid().ShapeString() << std::fixed
+              << mp->ShapeString() << std::fixed
               << std::setprecision(2) << std::setw(10) << mp->plan().m
               << std::setw(12) << mp->plan().mi[0] << std::setw(12)
               << mp->plan().mi[1] << std::setw(10)

@@ -27,9 +27,10 @@ int main() {
 
   std::cout << "Figure 1: range partition R on attribute A over "
             << kProcessors << " processors\n";
+  const decluster::NodeGroups groups = (*berd)->GroupByNode();
   for (int node = 0; node < kProcessors; ++node) {
     std::cout << "  processor " << (node + 1) << ":";
-    for (auto rid : (*berd)->node_records()[static_cast<size_t>(node)]) {
+    for (auto rid : groups.node(node)) {
       std::cout << " (A=" << r.value(rid, 0) << ",B=" << r.value(rid, 1)
                 << ")";
     }

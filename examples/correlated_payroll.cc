@@ -63,21 +63,19 @@ int main() {
   auto [smax, smin] = (*skewed)->LoadExtremes();
   auto [bmax, bmin] = (*balanced)->LoadExtremes();
   std::cout << "Emp(age, salary): correlated attributes over "
-            << (*skewed)->grid().ShapeString() << " grid\n";
+            << (*skewed)->ShapeString() << " grid\n";
 
   // Figure 6, rendered: tuple density over a coarsened grid directory
   // (darker = more tuples; the mass hugs the diagonal).
   {
-    const auto& dir = (*skewed)->grid().directory();
+    const auto& dims = (*skewed)->dims();
     const auto& weights = (*skewed)->cell_weights();
     constexpr int kRows = 12, kCols = 28;
     int64_t bucket[kRows][kCols] = {};
-    for (int64_t c = 0; c < dir.num_cells(); ++c) {
-      const auto coords = dir.CellCoords(c);
-      const int r = static_cast<int>(
-          static_cast<int64_t>(coords[1]) * kRows / dir.size(1));
-      const int col = static_cast<int>(
-          static_cast<int64_t>(coords[0]) * kCols / dir.size(0));
+    for (int64_t c = 0; c < (*skewed)->num_cells(); ++c) {
+      // Row-major cells: salary slice c / dims[1], age slice c % dims[1].
+      const int r = static_cast<int>(c % dims[1] * kRows / dims[1]);
+      const int col = static_cast<int>(c / dims[1] * kCols / dims[0]);
       bucket[r][col] += weights[static_cast<size_t>(c)];
     }
     int64_t peak = 1;

@@ -45,8 +45,8 @@ int main() {
             << ", FC = " << (*magic)->plan().fragment_cardinality
             << ", Mi = {" << (*magic)->plan().mi[0] << ", "
             << (*magic)->plan().mi[1] << "}\n";
-  std::cout << "grid directory: " << (*magic)->grid().ShapeString() << " ("
-            << (*magic)->grid().directory().num_cells() << " fragments)\n";
+  std::cout << "grid directory: " << (*magic)->ShapeString() << " ("
+            << (*magic)->num_cells() << " fragments)\n";
 
   // A sample query -> processors mapping.
   auto sites = (*magic)->SitesFor({0, 4242, 4242});

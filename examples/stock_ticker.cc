@@ -72,7 +72,7 @@ int main() {
             << plan.mi[1] << "\n";
   std::cout << "  fraction splits: ticker " << plan.fraction_splits[0]
             << ", price " << plan.fraction_splits[1] << "\n";
-  std::cout << "  grid directory: " << (*magic)->grid().ShapeString()
+  std::cout << "  grid directory: " << (*magic)->ShapeString()
             << " (ticker slices x price slices)\n\n";
 
   // Reproduce the figure-4 walkthrough: which processors serve an exact

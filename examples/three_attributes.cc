@@ -62,8 +62,8 @@ int main() {
             << kProcessors << " processors\n";
   std::cout << "  Mi = {" << plan.mi[0] << ", " << plan.mi[1] << ", "
             << plan.mi[2] << "}, FC = " << plan.fragment_cardinality << "\n";
-  std::cout << "  grid directory: " << (*magic)->grid().ShapeString()
-            << " (" << (*magic)->grid().directory().num_cells()
+  std::cout << "  grid directory: " << (*magic)->ShapeString()
+            << " (" << (*magic)->num_cells()
             << " cells)\n";
   auto [mx, mn] = (*magic)->LoadExtremes();
   std::cout << "  tuples per processor: max " << mx << ", min " << mn

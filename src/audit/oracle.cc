@@ -71,6 +71,13 @@ OracleReport RunOracle(
   const int num_nodes = strategies.front()->num_nodes();
   const int64_t card = relation.cardinality();
 
+  // Each strategy's records grouped by node, once for the whole run.
+  std::vector<decluster::NodeGroups> groups;
+  groups.reserve(strategies.size());
+  for (const decluster::Partitioning* part : strategies) {
+    groups.push_back(part->GroupByNode());
+  }
+
   workload::QueryGenerator gen(&workload, card, RandomStream(options.seed));
   for (int i = 0; i < options.num_queries; ++i) {
     const workload::QueryInstance q = gen.Next();
@@ -97,7 +104,8 @@ OracleReport RunOracle(
                             std::to_string(expected));
     }
 
-    for (const decluster::Partitioning* part : strategies) {
+    for (size_t p = 0; p < strategies.size(); ++p) {
+      const decluster::Partitioning* part = strategies[p];
       const std::string& name = part->name();
       const decluster::Predicate pred{q.attr, q.lo, q.hi};
       const decluster::PlanSites sites = part->SitesFor(pred);
@@ -115,8 +123,7 @@ OracleReport RunOracle(
       // answer, only its cost differs).
       std::vector<storage::RecordId> retrieved;
       for (int node : sites.data_nodes) {
-        for (storage::RecordId rid :
-             part->node_records()[static_cast<size_t>(node)]) {
+        for (storage::RecordId rid : groups[p].node(node)) {
           const storage::Value v = relation.value(rid, schema_attr);
           if (v >= q.lo && v <= q.hi) retrieved.push_back(rid);
         }

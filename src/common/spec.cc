@@ -1,7 +1,7 @@
 #include "src/common/spec.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <optional>
 
 #include "src/common/parse.h"
@@ -11,6 +11,15 @@ namespace declust::spec {
 namespace {
 
 constexpr Value kNodeIndex = Integer(0, 1 << 20);
+
+/// The shortest "%g"-style spelling of `v` that parses back to `v`
+/// exactly. Values with at most six significant digits print as "%g" does.
+std::string FormatNumber(double v) {
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general).ptr;
+  return std::string(buf, end);
+}
 
 std::string_view Trim(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
@@ -38,9 +47,7 @@ std::string FormatValue(double v, Atom atom) {
     case Atom::kNumber:
       break;
   }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
+  return FormatNumber(v);
 }
 
 /// "a number in [0, 1]", "an integer >= 1", "a duration > 0s", ...
@@ -319,17 +326,13 @@ void Grammar::PrintRecord(int k, const void* record, const void* defaults,
 }
 
 std::string FormatMs(double ms) {
-  char buf[64];
   // The range test keeps the int64 casts defined for any finite duration.
   if (std::fabs(ms) < 0x1p63 &&
       ms == static_cast<double>(static_cast<int64_t>(ms)) &&
       static_cast<int64_t>(ms) % 1000 == 0) {
-    std::snprintf(buf, sizeof(buf), "%llds",
-                  static_cast<long long>(ms) / 1000);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%gms", ms);
+    return std::to_string(static_cast<int64_t>(ms) / 1000) + "s";
   }
-  return buf;
+  return FormatNumber(ms) + "ms";
 }
 
 }  // namespace declust::spec

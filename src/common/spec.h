@@ -231,7 +231,7 @@ struct Grammar {
 };
 
 /// A time in ms as the plans print it: whole seconds as "Ns", anything
-/// else as "%gms".
+/// else as "<ms>ms" in the shortest "%g" style that parses back exactly.
 std::string FormatMs(double ms);
 
 }  // namespace declust::spec

@@ -7,6 +7,8 @@
 #include <string>
 #include <tuple>
 
+#include "src/grid/grid_file.h"
+
 namespace declust::decluster {
 
 Result<std::unique_ptr<MagicPartitioning>> MagicPartitioning::Create(
@@ -56,34 +58,56 @@ Result<std::unique_ptr<MagicPartitioning>> MagicPartitioning::Create(
   }
   part->domain_lo_ = gopts.domain_lo;
   part->domain_hi_ = gopts.domain_hi;
-  part->grid_ = std::make_unique<grid::GridFile>(k, gopts);
 
+  // Grow the grid file only until its scales freeze. Past that point an
+  // insert only appends to a bucket or region-splits one, which moves no
+  // cut, so no tuple's cell in the final directory depends on it. On
+  // correlated data the directory-size cap freezes the scales after a few
+  // percent of the tuples; uncorrelated data mostly stays under the cap
+  // and inserts them all. The bucket store is dropped with the grid file:
+  // only the scales are kept.
   std::vector<Value> point(static_cast<size_t>(k));
-  for (int64_t i = 0; i < relation.cardinality(); ++i) {
-    const auto rid = static_cast<RecordId>(i);
+  const auto load_point = [&](RecordId rid) {
     for (int d = 0; d < k; ++d) {
       point[static_cast<size_t>(d)] =
           relation.value(rid, schema_attrs[static_cast<size_t>(d)]);
     }
-    DECLUST_RETURN_NOT_OK(
-        part->grid_->Insert(std::span<const Value>(point), rid));
+  };
+  const int64_t card = relation.cardinality();
+  {
+    grid::GridFile grid(k, gopts);
+    for (int64_t i = 0; i < card && !grid.ScalesFrozen(); ++i) {
+      const auto rid = static_cast<RecordId>(i);
+      load_point(rid);
+      DECLUST_RETURN_NOT_OK(grid.Insert(std::span<const Value>(point), rid));
+    }
+    for (int d = 0; d < k; ++d) {
+      part->scales_.push_back(grid.scale(d));
+      part->dims_.push_back(grid.scale(d).num_slices());
+    }
+  }
+  int64_t num_cells = 1;
+  for (int n : part->dims_) num_cells *= n;
+  if (num_cells > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        "MAGIC grid directory of " + std::to_string(num_cells) +
+        " cells does not fit an int cell index");
   }
 
-  // The directory, materialized once now that every tuple is in.
-  const grid::GridDirectory& directory = part->grid_->directory();
-
-  // Every tuple's cell in the final directory, computed once: it gives both
-  // the per-cell weights and, after the assignment, the tuple's home.
-  const int64_t card = relation.cardinality();
-  std::vector<int64_t> tuple_cell(static_cast<size_t>(card));
-  part->cell_weights_.assign(static_cast<size_t>(directory.num_cells()), 0);
-  part->grid_->ForEachEntryCell([&](RecordId rid, int64_t cell) {
-    tuple_cell[rid] = cell;
+  // Every tuple's cell in the final directory, computed once from the
+  // scales: it gives the per-cell weights and, mapped through the
+  // assignment below, becomes the tuple's home in place.
+  std::vector<int> home(static_cast<size_t>(card));
+  part->cell_weights_.assign(static_cast<size_t>(num_cells), 0);
+  for (int64_t i = 0; i < card; ++i) {
+    load_point(static_cast<RecordId>(i));
+    const int64_t cell = part->CellOf(point.data());
+    home[static_cast<size_t>(i)] = static_cast<int>(cell);
     ++part->cell_weights_[static_cast<size_t>(cell)];
-  });
+  }
 
   // Routing index: the non-empty cells of every slice, per dimension.
-  const std::vector<int>& dims = directory.dims();
+  const std::vector<int>& dims = part->dims_;
   part->slice_cells_.resize(static_cast<size_t>(k));
   int64_t stride = 1;
   for (int d = k - 1; d >= 0; --d) {
@@ -93,7 +117,7 @@ Result<std::unique_ptr<MagicPartitioning>> MagicPartitioning::Create(
     const auto slice_of = [&](int64_t cell) {
       return static_cast<size_t>((cell / stride) % nd);
     };
-    for (int64_t c = 0; c < directory.num_cells(); ++c) {
+    for (int64_t c = 0; c < num_cells; ++c) {
       if (part->cell_weights_[static_cast<size_t>(c)] != 0) {
         ++sc.start[slice_of(c) + 1];
       }
@@ -103,7 +127,7 @@ Result<std::unique_ptr<MagicPartitioning>> MagicPartitioning::Create(
     }
     sc.cells.resize(static_cast<size_t>(sc.start.back()));
     std::vector<int> fill(sc.start.begin(), sc.start.end() - 1);
-    for (int64_t c = 0; c < directory.num_cells(); ++c) {
+    for (int64_t c = 0; c < num_cells; ++c) {
       if (part->cell_weights_[static_cast<size_t>(c)] != 0) {
         sc.cells[static_cast<size_t>(fill[slice_of(c)]++)] = c;
       }
@@ -153,13 +177,27 @@ Result<std::unique_ptr<MagicPartitioning>> MagicPartitioning::Create(
   }
 
   // Final tuple placement follows the directory.
-  std::vector<int> home(static_cast<size_t>(card));
-  for (size_t i = 0; i < home.size(); ++i) {
-    home[i] = part->cell_nodes_[static_cast<size_t>(tuple_cell[i])];
-  }
+  for (int& h : home) h = part->cell_nodes_[static_cast<size_t>(h)];
   part->SetAssignment(num_nodes, static_cast<int>(schema_attrs.size()),
                       std::move(home));
   return part;
+}
+
+int64_t MagicPartitioning::CellOf(const Value* point) const {
+  int64_t cell = 0;
+  for (size_t d = 0; d < scales_.size(); ++d) {
+    cell = cell * dims_[d] + scales_[d].SliceOf(point[d]);
+  }
+  return cell;
+}
+
+std::string MagicPartitioning::ShapeString() const {
+  std::string out;
+  for (size_t d = 0; d < dims_.size(); ++d) {
+    if (d > 0) out += 'x';
+    out += std::to_string(dims_[d]);
+  }
+  return out;
 }
 
 void MagicPartitioning::NodesForPredicate(const Predicate& q,
@@ -172,7 +210,8 @@ void MagicPartitioning::NodesForPredicate(const Predicate& q,
   // other dimension, so its non-empty cells are those of q.attr's slices
   // in range (every non-empty cell for a predicate on no grid dimension).
   nodes->clear();
-  const bool on_grid = q.attr >= 0 && q.attr < grid_->num_dims();
+  const bool on_grid =
+      q.attr >= 0 && q.attr < static_cast<int>(scales_.size());
   if (on_grid && q.lo > q.hi) return;
   const SliceCells& sc =
       slice_cells_[static_cast<size_t>(on_grid ? q.attr : 0)];
@@ -180,7 +219,7 @@ void MagicPartitioning::NodesForPredicate(const Predicate& q,
   int last = static_cast<int>(sc.start.size()) - 2;
   if (on_grid) {
     std::tie(first, last) =
-        grid_->scale(q.attr).SlicesOverlapping(q.lo, q.hi);
+        scale(q.attr).SlicesOverlapping(q.lo, q.hi);
   }
   for (int i = sc.start[static_cast<size_t>(first)];
        i < sc.start[static_cast<size_t>(last) + 1]; ++i) {
@@ -249,15 +288,15 @@ double MagicPartitioning::PlanningCpuMs(const Predicate& q) const {
   // per cell the predicate's box overlaps. (Equation 1's planning model
   // conservatively assumes a linear scan of half the directory; that model
   // is used for sizing M, not for the simulated per-query cost.)
-  const int k = grid_->num_dims();
+  const int k = static_cast<int>(scales_.size());
   double entries = 0;
   double scale_probes = 0;
   double box = 1;
   for (int d = 0; d < k; ++d) {
-    const int slices = grid_->scale(d).num_slices();
+    const int slices = dims_[static_cast<size_t>(d)];
     scale_probes += std::ceil(std::log2(static_cast<double>(slices) + 1));
     if (d == q.attr) {
-      auto [first, last] = grid_->scale(d).SlicesOverlapping(q.lo, q.hi);
+      auto [first, last] = scale(d).SlicesOverlapping(q.lo, q.hi);
       box *= static_cast<double>(last - first + 1);
     } else {
       box *= static_cast<double>(slices);

@@ -1,16 +1,19 @@
 // MAGIC declustering (paper section 3): build a grid directory with the
 // grid-file algorithm (fragment cardinality and split frequencies from the
 // planner), assign directory entries to processors, and rebalance under
-// attribute correlation.
+// attribute correlation. Only the directory's linear scales outlive the
+// build: the grid file's buckets are scaffolding for finding the cuts.
 #pragma once
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/decluster/assignment.h"
 #include "src/decluster/magic_planner.h"
 #include "src/decluster/rebalance.h"
 #include "src/decluster/strategy.h"
-#include "src/grid/grid_file.h"
+#include "src/grid/linear_scale.h"
 
 namespace declust::decluster {
 
@@ -41,13 +44,24 @@ class MagicPartitioning : public Partitioning {
 
   const std::string& name() const override { return name_; }
   std::string DiagnosticNote() const override {
-    return "grid " + grid_->ShapeString();
+    return "grid " + ShapeString();
   }
   void SitesForInto(const Predicate& q, PlanSites* out) const override;
   double PlanningCpuMs(const Predicate& q) const override;
 
   const MagicPlan& plan() const { return plan_; }
-  const grid::GridFile& grid() const { return *grid_; }
+  /// The grid directory's linear scale along dimension `d`.
+  const grid::LinearScale& scale(int d) const {
+    return scales_[static_cast<size_t>(d)];
+  }
+  /// Slices per dimension: the directory's shape, row-major.
+  const std::vector<int>& dims() const { return dims_; }
+  /// Directory cells (the product of dims()).
+  int64_t num_cells() const {
+    return static_cast<int64_t>(cell_weights_.size());
+  }
+  /// "62x61"-style directory shape.
+  std::string ShapeString() const;
   /// Processor of each directory cell.
   const std::vector<int>& cell_nodes() const { return cell_nodes_; }
   /// Tuples per directory cell.
@@ -63,11 +77,13 @@ class MagicPartitioning : public Partitioning {
  protected:
   std::vector<int> SitesForInsert(
       const std::vector<Value>& attr_values) const override {
-    // InsertSites checked the arity, so the cell lookup cannot fail.
-    return {cell_nodes_[static_cast<size_t>(*grid_->CellOfPoint(attr_values))]};
+    // InsertSites checked the arity.
+    return {cell_nodes_[static_cast<size_t>(CellOf(attr_values.data()))]};
   }
 
  private:
+  // Row-major directory cell of the dims().size() values at `point`.
+  int64_t CellOf(const Value* point) const;
   // Bottleneck throughput proxy of a candidate cell->processor assignment:
   // (max processor load fraction) x (I/O pages per average query). Lower is
   // better. Used to arbitrate between rebalancing variants.
@@ -91,7 +107,10 @@ class MagicPartitioning : public Partitioning {
   std::string name_ = "MAGIC";
   MagicPlan plan_;
   MagicOptions options_;
-  std::unique_ptr<grid::GridFile> grid_;
+  // All MAGIC reads of its grid file: the linear scales, once they are
+  // final, and the directory shape they give.
+  std::vector<grid::LinearScale> scales_;
+  std::vector<int> dims_;
   std::vector<int> cell_nodes_;
   std::vector<int64_t> cell_weights_;
   std::vector<SliceCells> slice_cells_;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,26 @@ struct PlanSites {
   }
 };
 
+/// \brief Record ids grouped by home node, in compressed sparse rows: node
+/// n's records, ascending, are rids[offsets[n], offsets[n + 1]).
+struct NodeGroups {
+  std::vector<int64_t> offsets;
+  std::vector<RecordId> rids;
+
+  std::span<const RecordId> node(int n) const {
+    const auto begin = offsets[static_cast<size_t>(n)];
+    const auto end = offsets[static_cast<size_t>(n) + 1];
+    return std::span<const RecordId>(rids).subspan(
+        static_cast<size_t>(begin), static_cast<size_t>(end - begin));
+  }
+};
+
 /// \brief A completed declustering of one relation across P processors.
+///
+/// The one per-tuple array it keeps is each record's home node; per node
+/// it keeps only the tuple count. A caller that walks a node's records
+/// (the catalog build, the result oracle) groups them once per call with
+/// GroupByNode.
 class Partitioning {
  public:
   virtual ~Partitioning() = default;
@@ -53,15 +73,18 @@ class Partitioning {
   /// shape). Empty by default; avoids RTTI in the experiment harness.
   virtual std::string DiagnosticNote() const { return ""; }
 
-  int num_nodes() const { return static_cast<int>(node_records_.size()); }
+  int num_nodes() const { return static_cast<int>(node_counts_.size()); }
 
   /// Number of partitioning attributes (the arity InsertSites expects).
   int num_attrs() const { return num_attrs_; }
 
-  /// Record ids stored at each node.
-  const std::vector<std::vector<RecordId>>& node_records() const {
-    return node_records_;
-  }
+  /// Tuples homed at each node.
+  const std::vector<int64_t>& node_counts() const { return node_counts_; }
+
+  /// The record ids of every node, ascending, from one counting pass over
+  /// the record homes: O(cardinality) time and memory per call, so build
+  /// it once per build or audit, never per query.
+  NodeGroups GroupByNode() const;
 
   /// Home node of one record.
   int NodeOf(RecordId rid) const { return record_home_[rid]; }
@@ -111,14 +134,14 @@ class Partitioning {
   std::pair<int64_t, int64_t> LoadExtremes() const;
 
  protected:
-  /// Populates node_records_ and record_home_ from a per-record node map,
-  /// for a partitioning on `num_attrs` attributes.
+  /// Takes a per-record node map as the record homes and counts each
+  /// node's tuples, for a partitioning on `num_attrs` attributes.
   void SetAssignment(int num_nodes, int num_attrs,
                      std::vector<int> record_home);
 
-  /// Takes `from`'s assignment (record homes, per-node record lists and
-  /// arity), leaving `from` with none: for a strategy whose data placement
-  /// is another strategy's.
+  /// Takes `from`'s assignment (record homes, per-node counts and arity),
+  /// leaving `from` with none: for a strategy whose data placement is
+  /// another strategy's.
   void TakeAssignment(Partitioning* from);
 
   /// InsertSites after its arity check: `attr_values` has num_attrs()
@@ -126,8 +149,8 @@ class Partitioning {
   virtual std::vector<int> SitesForInsert(
       const std::vector<Value>& attr_values) const = 0;
 
-  std::vector<std::vector<RecordId>> node_records_;
   std::vector<int> record_home_;
+  std::vector<int64_t> node_counts_;
   int num_attrs_ = 0;
 };
 

@@ -88,11 +88,10 @@ Result<std::shared_ptr<const CatalogTrees>> CatalogTrees::Build(
   trees->index_fanout_ = index_fanout;
   const int slices = partitioning->num_nodes();
   trees->slices_.resize(static_cast<size_t>(slices));
-  const auto& node_records = partitioning->node_records();
+  const decluster::NodeGroups groups = partitioning->GroupByNode();
   const auto build_slice = [&](int s) {
     trees->slices_[static_cast<size_t>(s)] =
-        BuildSlice(*relation, node_records[static_cast<size_t>(s)], attr_a,
-                   attr_b, index_fanout);
+        BuildSlice(*relation, groups.node(s), attr_a, attr_b, index_fanout);
   };
   const int jobs = std::min(ThreadPool::ResolveJobs(build_jobs), slices);
   if (jobs <= 1) {
@@ -321,11 +320,10 @@ Result<std::unique_ptr<SystemCatalog>> SystemCatalog::Build(
     storage::Extent data, idx_b, idx_a;
   };
   const storage::PageLayout page_layout(hw.tuples_per_page);
-  const auto& node_records = partitioning->node_records();
   const auto allocate_store = [&](int slice, storage::DiskLayout* layout,
                                   SliceExtents* out) -> Status {
     const int64_t count =
-        static_cast<int64_t>(node_records[static_cast<size_t>(slice)].size());
+        partitioning->node_counts()[static_cast<size_t>(slice)];
     const int64_t index_nodes =
         storage::BPlusTree::BulkLoadNodeCount(count, opts.index_fanout);
     auto data = layout->Allocate(page_layout.PagesFor(count));

@@ -178,30 +178,43 @@ void GridFile::RegionSplit(int b, int d) {
   }
 }
 
+bool GridFile::CutFitsCap(int d) const {
+  int64_t cells = 1;
+  for (const LinearScale& scale : scales_) cells *= scale.num_slices();
+  const int slices = scales_[static_cast<size_t>(d)].num_slices();
+  return cells / slices * (slices + 1) <= opts_.max_cells;
+}
+
+bool GridFile::ScalesFrozen() const {
+  for (int d = 0; d < k_; ++d) {
+    if (CutFitsCap(d)) return false;
+  }
+  return true;
+}
+
 Result<int> GridFile::TryAddCut(int b) {
   Bucket& bucket = buckets_[static_cast<size_t>(b)];
-  // Respect the directory-size cap: adding a cut along d multiplies the cell
-  // count by (slices_d + 1) / slices_d. Once every dimension is past the
-  // cap — the common case on correlated data, where overflow chaining takes
-  // over — no cut is possible.
-  const auto fits_cap = [&](int d) {
-    const int slices = scales_[static_cast<size_t>(d)].num_slices();
-    return slots_.num_cells() / slices * (slices + 1) <= opts_.max_cells;
-  };
-  bool any_fits = false;
-  for (int d = 0; d < k_ && !any_fits; ++d) any_fits = fits_cap(d);
-  if (!any_fits) return -1;
-
-  // Dimensions ordered by split deficit (most deserving first).
-  std::vector<int> order(static_cast<size_t>(k_));
-  for (int d = 0; d < k_; ++d) order[static_cast<size_t>(d)] = d;
-  std::sort(order.begin(), order.end(),
-            [&](int a, int c) { return SplitDeficit(a) < SplitDeficit(c); });
-
+  // Dimensions ordered by split deficit (most deserving first), ties in
+  // dimension order: an insertion sort, which is what std::sort does on
+  // this few elements.
   const auto k = static_cast<size_t>(k_);
-  for (int d : order) {
+  std::array<int, kMaxDims> order{};
+  for (size_t i = 0; i < k; ++i) {
+    const int d = static_cast<int>(i);
+    size_t j = i;
+    for (; j > 0 && SplitDeficit(d) < SplitDeficit(order[j - 1]); --j) {
+      order[j] = order[j - 1];
+    }
+    order[j] = d;
+  }
+
+  // A dimension past the directory-size cap takes no cut. Once every one
+  // is (the common case on correlated data, where overflow chaining takes
+  // over) the scales are frozen.
+  for (size_t rank = 0; rank < k; ++rank) {
+    const int d = order[rank];
     const auto du = static_cast<size_t>(d);
-    if (!fits_cap(d)) continue;
+    if (!CutFitsCap(d)) continue;
     std::vector<Value> vals;
     vals.reserve(bucket.rids.size());
     for (size_t i = du; i < bucket.points.size(); i += k) {

@@ -4,7 +4,8 @@
 //
 // MAGIC uses the insertion phase of this structure to build its grid
 // directory: bucket capacity = the fragment cardinality FC, and the split
-// policy weights = the Fraction_Splits of equation 4.
+// policy weights = the Fraction_Splits of equation 4. It inserts only until
+// ScalesFrozen() and keeps the linear scales.
 #pragma once
 
 #include <array>
@@ -90,6 +91,13 @@ class GridFile {
     return {bk.lo, bk.hi};
   }
   int64_t size() const { return size_; }
+
+  /// True once no dimension can take another cut under `max_cells`. The
+  /// cell count never shrinks, so a dimension that fails the cap fails it
+  /// for good and the scales never thaw: every later insert only appends
+  /// to a bucket or region-splits one, which moves no cut and so no
+  /// point's cell.
+  bool ScalesFrozen() const;
 
   /// Inserts one point (arity must equal num_dims). The point is copied
   /// into its bucket's contiguous storage, so a caller can reuse one buffer
@@ -197,6 +205,9 @@ class GridFile {
   Result<bool> SplitBucket(int b);
   // Region split along dim d (box must span > 1 slice there).
   void RegionSplit(int b, int d);
+  // Whether a cut along d keeps the directory within max_cells: a cut
+  // multiplies the cell count by (slices_d + 1) / slices_d.
+  bool CutFitsCap(int d) const;
   // Attempts to add a cut through bucket b along some dimension; returns the
   // chosen dimension or -1.
   Result<int> TryAddCut(int b);

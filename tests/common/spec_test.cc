@@ -760,6 +760,35 @@ TEST(PlanGrammarCorpusTest, AcceptedSpecsKeepTheirFieldsAndCanonicalForm) {
   }
 }
 
+TEST(PlanGrammarCorpusTest, ToStringIsAFixedPointPastSixSignificantDigits) {
+  // Numbers and durations print in the shortest form that reads back
+  // exactly, so a value with more than six significant digits survives
+  // Parse(ToString(p)) instead of being rounded to "%g"'s six.
+  const struct {
+    Plan plan;
+    const char* spec;
+    const char* canonical;
+    const char* fields;
+  } cases[] = {
+      {Plan::kFaults, "disk:node0@t=1234.5675s",
+       "disk:node0@t=1.2345675e+06ms", "{0 0 1234567.5 inf 0.05 2}"},
+      {Plan::kOpen, "rate:1234567.5", "rate:1.2345675e+06@t=0s",
+       "rates 0/1234567.5 bursts zipf=0 tail=0/1 cap=4096 relations"},
+      {Plan::kRecovery, "repair:node1@t=0.1234567s,rate=123.4567",
+       "repair:node1@t=123.4567ms,rate=123.4567", "{1 123.4567 123.4567 8}"},
+  };
+  for (const auto& c : cases) {
+    const Parsed p = Parse(c.plan, c.spec);
+    ASSERT_TRUE(p.status.ok()) << c.spec << ": " << p.status.ToString();
+    EXPECT_EQ(p.canonical, c.canonical) << c.spec;
+    EXPECT_EQ(p.fields, c.fields) << c.spec;
+    const Parsed again = Parse(c.plan, p.canonical);
+    ASSERT_TRUE(again.status.ok()) << p.canonical;
+    EXPECT_EQ(again.fields, p.fields) << c.spec;
+    EXPECT_EQ(again.canonical, p.canonical) << c.spec;
+  }
+}
+
 struct Rejected {
   Plan plan;
   const char* spec;

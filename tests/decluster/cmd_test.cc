@@ -21,9 +21,10 @@ TEST(CmdTest, EveryTupleAssignedOnce) {
   auto rel = Rel();
   auto part = CmdPartitioning::Create(rel, {0, 1}, 8);
   ASSERT_TRUE(part.ok());
+  const NodeGroups groups = (*part)->GroupByNode();
   int64_t total = 0;
-  for (const auto& recs : (*part)->node_records()) {
-    total += static_cast<int64_t>(recs.size());
+  for (int node = 0; node < (*part)->num_nodes(); ++node) {
+    total += static_cast<int64_t>(groups.node(node).size());
   }
   EXPECT_EQ(total, rel.cardinality());
 }

@@ -26,9 +26,10 @@ TEST(MagicTest, EveryTupleAssignedExactlyOnce) {
   auto part = MagicPartitioning::Create(
       rel, {0, 1}, MakeMix(ResourceClass::kLow, ResourceClass::kLow), 32);
   ASSERT_TRUE(part.ok()) << part.status().ToString();
+  const NodeGroups groups = (*part)->GroupByNode();
   int64_t total = 0;
-  for (const auto& recs : (*part)->node_records()) {
-    total += static_cast<int64_t>(recs.size());
+  for (int node = 0; node < (*part)->num_nodes(); ++node) {
+    total += static_cast<int64_t>(groups.node(node).size());
   }
   EXPECT_EQ(total, rel.cardinality());
 }
@@ -38,7 +39,7 @@ TEST(MagicTest, LowLowDirectoryIsSquarish) {
   auto part = MagicPartitioning::Create(
       rel, {0, 1}, MakeMix(ResourceClass::kLow, ResourceClass::kLow), 32);
   ASSERT_TRUE(part.ok());
-  const auto& g = (*part)->grid();
+  const auto& g = **part;
   const double ratio = static_cast<double>(g.scale(0).num_slices()) /
                        g.scale(1).num_slices();
   EXPECT_GT(ratio, 0.5) << g.ShapeString();
@@ -51,7 +52,7 @@ TEST(MagicTest, LowModerateDirectoryIsNineToOne) {
       rel, {0, 1}, MakeMix(ResourceClass::kLow, ResourceClass::kModerate),
       32);
   ASSERT_TRUE(part.ok());
-  const auto& g = (*part)->grid();
+  const auto& g = **part;
   // Equation 4 verbatim: the dimension of the LOW query (attribute A) is
   // split ~9x more often.
   const double ratio = static_cast<double>(g.scale(0).num_slices()) /
@@ -171,7 +172,7 @@ TEST(MagicTest, PlanningCostScalesWithPredicateWidth) {
   // Both stay below the equation-1 worst case (linear scan of half the
   // directory).
   const auto cells =
-      static_cast<double>((*part)->grid().directory().num_cells());
+      static_cast<double>((*part)->num_cells());
   EXPECT_LE(wide, cells * (10.0 / 3000.0) + 1.0);
 }
 

@@ -3,8 +3,11 @@
 // count, or attribute correlation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/exp/experiment.h"
@@ -65,8 +68,9 @@ class PartitioningProperty : public ::testing::TestWithParam<Param> {
 TEST_P(PartitioningProperty, EveryTupleAssignedToExactlyOneNode) {
   std::vector<bool> seen(static_cast<size_t>(rel_->cardinality()), false);
   int64_t total = 0;
+  const NodeGroups groups = part_->GroupByNode();
   for (int node = 0; node < part_->num_nodes(); ++node) {
-    for (RecordId rid : part_->node_records()[static_cast<size_t>(node)]) {
+    for (RecordId rid : groups.node(node)) {
       ASSERT_LT(rid, rel_->cardinality());
       EXPECT_FALSE(seen[rid]) << "tuple on two nodes";
       seen[rid] = true;
@@ -168,6 +172,44 @@ TEST_P(PartitioningProperty, InsertSitesAreValidAndIncludeDataHome) {
     for (int n : sites) home_covered |= q_set.count(n) > 0;
     EXPECT_TRUE(home_covered) << GetParam().strategy;
   }
+}
+
+TEST_P(PartitioningProperty, NodeGroupsEqualThePerNodeLists) {
+  // The reference: the per-node record lists a partitioning used to keep
+  // beside its record homes, built the way it built them, one push_back
+  // per record in id order.
+  const int64_t card = rel_->cardinality();
+  const int nodes = part_->num_nodes();
+  std::vector<std::vector<RecordId>> lists(static_cast<size_t>(nodes));
+  for (int64_t i = 0; i < card; ++i) {
+    const auto rid = static_cast<RecordId>(i);
+    lists[static_cast<size_t>(part_->NodeOf(rid))].push_back(rid);
+  }
+  int64_t max_load = 0;
+  int64_t min_load = card;
+  for (const auto& list : lists) {
+    max_load = std::max(max_load, static_cast<int64_t>(list.size()));
+    min_load = std::min(min_load, static_cast<int64_t>(list.size()));
+  }
+
+  const NodeGroups groups = part_->GroupByNode();
+  ASSERT_EQ(groups.offsets.size(), static_cast<size_t>(nodes) + 1);
+  ASSERT_EQ(part_->node_counts().size(), static_cast<size_t>(nodes));
+  EXPECT_EQ(groups.offsets.front(), 0);
+  EXPECT_EQ(groups.offsets.back(), card);
+  EXPECT_EQ(static_cast<int64_t>(groups.rids.size()), card);
+  int64_t counted = 0;
+  for (int node = 0; node < nodes; ++node) {
+    const auto rids = groups.node(node);
+    EXPECT_EQ(std::vector<RecordId>(rids.begin(), rids.end()),
+              lists[static_cast<size_t>(node)])
+        << "node " << node;
+    EXPECT_EQ(part_->node_counts()[static_cast<size_t>(node)],
+              static_cast<int64_t>(lists[static_cast<size_t>(node)].size()));
+    counted += part_->node_counts()[static_cast<size_t>(node)];
+  }
+  EXPECT_EQ(counted, card);
+  EXPECT_EQ(part_->LoadExtremes(), std::make_pair(max_load, min_load));
 }
 
 TEST_P(PartitioningProperty, InsertSitesRejectsWrongArity) {

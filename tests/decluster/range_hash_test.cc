@@ -23,9 +23,10 @@ TEST(RangeTest, EveryTupleAssignedExactlyOnce) {
   auto rel = SmallRel();
   auto part = RangePartitioning::Create(rel, {0, 1}, 8);
   ASSERT_TRUE(part.ok());
+  const NodeGroups groups = (*part)->GroupByNode();
   int64_t total = 0;
-  for (const auto& recs : (*part)->node_records()) {
-    total += static_cast<int64_t>(recs.size());
+  for (int node = 0; node < (*part)->num_nodes(); ++node) {
+    total += static_cast<int64_t>(groups.node(node).size());
   }
   EXPECT_EQ(total, rel.cardinality());
   EXPECT_EQ((*part)->num_nodes(), 8);
@@ -78,8 +79,9 @@ TEST(RangeTest, FragmentsAreValueDisjoint) {
   ASSERT_TRUE(part.ok());
   // Max attr value on node i < min attr value on node i+1.
   std::vector<int64_t> mins(4, INT64_MAX), maxs(4, INT64_MIN);
+  const NodeGroups groups = (*part)->GroupByNode();
   for (int node = 0; node < 4; ++node) {
-    for (auto rid : (*part)->node_records()[static_cast<size_t>(node)]) {
+    for (auto rid : groups.node(node)) {
       const auto v = rel.value(rid, 0);
       mins[static_cast<size_t>(node)] =
           std::min(mins[static_cast<size_t>(node)], v);
@@ -97,14 +99,14 @@ TEST(RangeTest, ExactMatchOnPartitioningAttrGoesToOneNode) {
   auto rel = SmallRel();
   auto part = RangePartitioning::Create(rel, {0}, 8);
   ASSERT_TRUE(part.ok());
+  const NodeGroups groups = (*part)->GroupByNode();
   for (int64_t v : {0, 123, 500, 999}) {
     auto sites = (*part)->SitesFor({0, v, v});
     ASSERT_EQ(sites.data_nodes.size(), 1u) << v;
     EXPECT_TRUE(sites.aux_nodes.empty());
     // The chosen node actually owns the tuple with that value.
     bool found = false;
-    for (auto rid : (*part)->node_records()[static_cast<size_t>(
-             sites.data_nodes[0])]) {
+    for (auto rid : groups.node(sites.data_nodes[0])) {
       if (rel.value(rid, 0) == v) found = true;
     }
     EXPECT_TRUE(found) << v;
@@ -150,8 +152,10 @@ TEST(HashTest, AssignmentIsBalancedAndTotal) {
   auto rel = SmallRel(10000);
   auto part = HashPartitioning::Create(rel, {0}, 16);
   ASSERT_TRUE(part.ok());
+  const NodeGroups groups = (*part)->GroupByNode();
   int64_t total = 0;
-  for (const auto& recs : (*part)->node_records()) {
+  for (int node = 0; node < (*part)->num_nodes(); ++node) {
+    const auto recs = groups.node(node);
     total += static_cast<int64_t>(recs.size());
     // Within ~4x of perfect balance (hashing a permutation).
     EXPECT_GT(recs.size(), 300u);

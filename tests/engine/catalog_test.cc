@@ -56,9 +56,10 @@ TEST(CatalogTest, IndexTiesMatchAnIndirectSortOfRecordIds) {
   ASSERT_TRUE(catalog.ok());
   const Value lo = std::numeric_limits<Value>::min();
   const Value hi = std::numeric_limits<Value>::max();
+  const decluster::NodeGroups groups = (*part)->GroupByNode();
   for (int node = 0; node < 4; ++node) {
-    std::vector<RecordId> by_b =
-        (*part)->node_records()[static_cast<size_t>(node)];
+    std::vector<RecordId> by_b(groups.node(node).begin(),
+                               groups.node(node).end());
     std::sort(by_b.begin(), by_b.end(), [&](RecordId x, RecordId y) {
       return rel.value(x, 1) < rel.value(y, 1);
     });

@@ -336,5 +336,35 @@ TEST(AllocCountTest, SerialSweepPeakHeapStaysBelowPerPointTreeBuilds) {
       << peak << " peak live heap bytes";
 }
 
+TEST(AllocCountTest, SerialSweepPeakHeapHoldsOnePerTupleArrayPerStrategy) {
+  // The sweep of SerialSweepPeakHeapStaysBelowPerPointTreeBuilds. When each
+  // partitioning kept its per-node record lists beside its record homes and
+  // MAGIC kept its whole grid file, it peaked at 14,464,120 live heap bytes
+  // (GCC 12, glibc malloc_usable_size). Now each strategy keeps one int per
+  // tuple plus per-node counts, and MAGIC keeps only its linear scales: it
+  // measures 9,326,056. Either copy coming back fails here: the grid file's
+  // bucket store costs 20 B per tuple (2 MB at 100k tuples), and the
+  // per-node lists 4 B per tuple per strategy plus push_back's slack
+  // (1.2 MB and more for three strategies).
+  constexpr int64_t kBound = 10'000'000;
+  exp::ExperimentConfig cfg;
+  cfg.strategies = {"range", "BERD", "MAGIC"};
+  cfg.cardinality = 100'000;
+  cfg.correlation = 1.0;
+  cfg.num_processors = 32;
+  cfg.mpls = {1, 8};
+  cfg.warmup_ms = 200;
+  cfg.measure_ms = 500;
+  const int64_t baseline = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_live_bytes.store(baseline, std::memory_order_relaxed);
+  auto result = exp::RunThroughputSweep(cfg, exp::RunnerOptions{.jobs = 1});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const int64_t peak =
+      g_peak_live_bytes.load(std::memory_order_relaxed) - baseline;
+  ::testing::Test::RecordProperty("serial_sweep_peak_heap_bytes",
+                                  std::to_string(peak));
+  EXPECT_LE(peak, kBound) << peak << " peak live heap bytes";
+}
+
 }  // namespace
 }  // namespace declust

@@ -42,6 +42,11 @@ void Usage() {
       "  --control SPEC     closed-loop control plan to audit under (same\n"
       "                     grammar as run_experiment --control) — arms the\n"
       "                     migration + per-class shed invariants\n"
+      "  --open SPEC        open-system workload plan to audit under (same\n"
+      "                     grammar as run_experiment --open) — arms the\n"
+      "                     arrival and shed conservation invariants\n"
+      "  --offered L1,L2    offered arrival rates (q/s) swept under --open\n"
+      "                     (default: one level at the plan's schedule)\n"
       "  --skip-differential  only run the in-sweep invariants + oracle\n";
 }
 
@@ -115,6 +120,10 @@ int main(int argc, char** argv) {
       cfg.resize = next();
     } else if (arg == "--control") {
       cfg.control = next();
+    } else if (arg == "--open") {
+      cfg.open = next();
+    } else if (arg == "--offered") {
+      cfg.offered_loads = RequireOfferedLoads(next());
     } else if (arg == "--skip-differential") {
       run_differential = false;
     } else if (arg == "--help" || arg == "-h") {

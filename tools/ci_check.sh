@@ -24,9 +24,10 @@
 # one of them rebuilding a failed disk while slices migrate — serially and
 # with --jobs 4 must produce byte-identical output, the allocation-count
 # tests must pass on the Release frame layout, and the calendar and
-# MAGIC-build micro benchmarks must run once. Before any build, a lint
-# rejects ASCII control bytes other than tab and newline in the tracked
-# files under src/, tests/, tools/, examples/ and bench/.
+# MAGIC-build micro benchmarks must run once, as must the MAGIC freeze
+# equivalence tests. Before any build, a lint rejects ASCII control bytes
+# other than tab and newline in the tracked files under src/, tests/,
+# tools/, examples/ and bench/.
 #
 #   tools/ci_check.sh [--jobs N] [--fresh]
 #
@@ -94,12 +95,12 @@ run_preset asan DECLUST_ASAN \
   'kernel|setup|faults|audit|recovery|resize|open|control|scale' \
   sim_test alloc_count_test hw_test storage_test workload_test grid_test decluster_test \
   engine_test fault_test audit_test recovery_test resize_test open_test \
-  control_test scale_test
+  control_test scale_test audit_sweep
 run_preset ubsan DECLUST_UBSAN \
   'kernel|setup|faults|audit|recovery|resize|open|control' \
   sim_test alloc_count_test hw_test storage_test workload_test grid_test decluster_test \
   engine_test fault_test audit_test recovery_test resize_test open_test \
-  control_test
+  control_test audit_sweep
 # Threads enter through the ThreadPool: --jobs runs sweep replications side
 # by side, each on its own Simulation. TSAN covers the pool itself and the
 # runner's determinism tests (the threads label), plus the jobs=4 identity
@@ -107,7 +108,8 @@ run_preset ubsan DECLUST_UBSAN \
 # rebuild disks, migrate slices, shed arrivals and actuate the controller
 # concurrently.
 run_preset tsan DECLUST_TSAN 'threads|recovery|resize|open|control' \
-  common_test exp_test recovery_test resize_test open_test control_test
+  common_test exp_test recovery_test resize_test open_test control_test \
+  audit_sweep
 
 # Release differential smoke: the plain quick sweep, a live resize plan (node
 # added mid-run, then drained back out), a disk failure whose repair rebuilds
@@ -125,8 +127,8 @@ cmake -S "$ROOT" -B "$SMOKE_DIR" \
   -DDECLUST_BUILD_BENCHMARKS=ON \
   -DDECLUST_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "$SMOKE_DIR" -j"$JOBS" --target run_experiment audit_sweep \
-  scale_test alloc_count_test micro_sim_kernel micro_assignment micro_gridfile \
-  micro_btree
+  scale_test alloc_count_test decluster_test micro_sim_kernel micro_assignment \
+  micro_gridfile micro_btree
 SMOKE_ARGS=(--strategies range,hash --mpls 4 --repeats 1 --cardinality 20000
             --processors 8 --warmup 500 --measure 2000)
 # Each variant is its extra arguments, '|'-separated.
@@ -213,6 +215,14 @@ if ! "$SMOKE_DIR/bench/micro_gridfile" \
   echo "*** relsmoke: micro_gridfile correlated insert case FAILED" >&2
   FAILED=1
 fi
+# MAGIC stops inserting once its grid file's scales freeze; the Release
+# build must give the scales, cell weights, cell processors and tuple homes
+# of a grid file that inserts every tuple.
+if ! "$SMOKE_DIR/tests/decluster_test" \
+    --gtest_filter='GridFreezeTest.*:*MagicFreezeTest.*'; then
+  echo "*** relsmoke: MAGIC freeze equivalence FAILED" >&2
+  FAILED=1
+fi
 # The B+-tree cases (bulk load, point and range lookups) must run to
 # completion; their rates are not gated here.
 echo "=== relsmoke: micro_btree cases run ==="
@@ -230,8 +240,8 @@ if ! "$SMOKE_DIR/tools/audit_sweep" "${SMOKE_ARGS[@]}"; then
 fi
 
 # Bad-spec smoke: a malformed plan spec must exit 2 at once, naming its
-# plan on stderr, in both tools (audit_sweep has no --open). nan once sent
-# a slow: factor into an endless loop, hence the hard kill.
+# plan on stderr, in both tools (audit_sweep has no --degraded). nan once
+# sent a slow: factor into an endless loop, hence the hard kill.
 echo "=== relsmoke: malformed plan specs exit 2 ==="
 BAD_SPECS=(
   "faults|--faults|slow:node0@t=0,x=nan"
@@ -245,8 +255,7 @@ for case in "${BAD_SPECS[@]}"; do
   IFS='|' read -r -a bad <<< "$case"
   plan="${bad[0]}"
   for tool in run_experiment audit_sweep; do
-    if [[ "$tool" == audit_sweep && ( "$plan" == open || \
-          "${bad[1]}" == --degraded ) ]]; then
+    if [[ "$tool" == audit_sweep && "${bad[1]}" == --degraded ]]; then
       continue
     fi
     status=0

@@ -58,6 +58,16 @@ inline double RequireDouble(const char* flag, std::string_view value,
   return *parsed;
 }
 
+/// Parses --offered's comma list of arrival rates (q/s), each in
+/// [1e-9, 1e9], or exits 2.
+inline std::vector<double> RequireOfferedLoads(const std::string& value) {
+  std::vector<double> loads;
+  for (const auto& l : SplitCsv(value)) {
+    loads.push_back(RequireDouble("--offered", l, 1e-9, 1e9));
+  }
+  return loads;
+}
+
 /// Sets the query mix named by --mix; false for an unknown name.
 inline bool ParseMix(const std::string& name, exp::ExperimentConfig* cfg) {
   using workload::ResourceClass;

@@ -211,11 +211,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--open") {
       cfg.open = next();
     } else if (arg == "--offered") {
-      cfg.offered_loads.clear();
-      for (const auto& l : SplitCsv(next())) {
-        cfg.offered_loads.push_back(
-            RequireDouble("--offered", l, 1e-9, 1e9));
-      }
+      cfg.offered_loads = RequireOfferedLoads(next());
     } else if (arg == "--degraded") {
       degraded = RequireInt("--degraded", next(), 0, 1 << 20);
     } else if (arg == "--watchdog") {
