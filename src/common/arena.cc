@@ -52,13 +52,29 @@ void Arena::Reset() {
 }
 
 FrameCache::~FrameCache() {
-  for (FreeBlock*& list : lists_) {
-    while (list != nullptr) {
-      FreeBlock* next = list->next;
-      ::operator delete(list);
-      list = next;
-    }
+  // Every block lives in a chunk, so the free lists need no walk.
+  while (chunks_ != nullptr) {
+    Chunk* next = chunks_->next;
+    ::operator delete(chunks_);
+    chunks_ = next;
   }
+}
+
+void* FrameCache::Carve(size_t bytes) {
+  if (static_cast<size_t>(limit_ - cursor_) < bytes) {
+    // The current chunk's tail becomes one free block of its own class.
+    if (limit_ - cursor_ >= static_cast<ptrdiff_t>(kGranularity)) {
+      Push(ClassOf(static_cast<size_t>(limit_ - cursor_)), cursor_);
+    }
+    Chunk* chunk = static_cast<Chunk*>(::operator new(kChunkBytes));
+    chunk->next = chunks_;
+    chunks_ = chunk;
+    cursor_ = reinterpret_cast<char*>(chunk + 1);
+    limit_ = reinterpret_cast<char*>(chunk) + kChunkBytes;
+  }
+  void* p = cursor_;
+  cursor_ += bytes;
+  return p;
 }
 
 FrameCache& FrameCache::Local() {

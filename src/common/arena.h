@@ -10,9 +10,10 @@
 //  * SlabPool<T> — typed object pool carved from an Arena with an intrusive
 //                 free list. New/Delete are O(1) and allocation-free once
 //                 the pool has reached its steady-state population.
-//  * FrameCache — thread-local size-bucketed cache for coroutine frames
-//                 (wired into Task's promise operator new/delete). Frames
-//                 recycle within a thread without reaching the heap.
+//  * FrameCache — thread-local cache of coroutine frames in exact 16-byte
+//                 size classes, carved from 64 KiB chunks (wired into
+//                 Task's promise operator new/delete). Frames recycle
+//                 within a thread without reaching the heap.
 //
 // Sanitizer note: under AddressSanitizer the FrameCache becomes a
 // passthrough to the global heap so ASan keeps seeing every frame's exact
@@ -152,16 +153,23 @@ class SlabPool {
 #endif
 #endif
 
-/// \brief Thread-local size-bucketed free-list cache for coroutine frames.
+/// \brief Thread-local size-classed free-list cache for coroutine frames.
 ///
-/// Frame sizes are compiler-determined and cluster around a few dozen
-/// distinct values per build; rounding to 64-byte classes gives near-exact
-/// reuse. Blocks above kMaxCachedBytes fall through to the global heap.
-/// The cache is per-thread (sweep workers each own their simulations), so
-/// no locking is needed, and the thread-exit destructor returns everything
-/// to the heap.
+/// A frame's size is fixed per coroutine at compile time, so exact 16-byte
+/// classes (alignof(std::max_align_t)) reuse blocks with at most 15 bytes
+/// of round-up. New blocks are carved from 64 KiB chunks, so a frame pays
+/// no malloc header either; a freed block goes back to its class's list
+/// and is never returned to a chunk. Blocks above kMaxCachedBytes come
+/// from the global heap. The cache is per-thread (sweep workers each own
+/// their simulations, and a frame is freed on the thread that allocated
+/// it), so no locking is needed, and the thread-exit destructor returns
+/// every chunk to the heap.
 class FrameCache {
  public:
+  static constexpr size_t kGranularity = alignof(std::max_align_t);
+  static constexpr size_t kMaxCachedBytes = 4096;
+  static constexpr size_t kChunkBytes = 64 * 1024;
+
   static void* Allocate(size_t n) {
 #ifdef DECLUST_ASAN_ACTIVE
     return ::operator new(n);
@@ -173,7 +181,7 @@ class FrameCache {
       c.lists_[cls] = b->next;
       return b;
     }
-    return ::operator new((cls + 1) * kGranularity);
+    return c.Carve((cls + 1) * kGranularity);
 #endif
   }
 
@@ -186,34 +194,44 @@ class FrameCache {
       ::operator delete(p);
       return;
     }
-    const size_t cls = ClassOf(n);
-    FrameCache& c = Local();
-    FreeBlock* b = static_cast<FreeBlock*>(p);
-    b->next = c.lists_[cls];
-    c.lists_[cls] = b;
+    Local().Push(ClassOf(n), p);
 #endif
   }
 
   ~FrameCache();
 
  private:
-  static constexpr size_t kGranularity = 64;
-  static constexpr size_t kMaxCachedBytes = 4096;
   static constexpr size_t kNumClasses = kMaxCachedBytes / kGranularity;
 
   struct FreeBlock {
     FreeBlock* next;
   };
+  // A chunk's header; its blocks follow it.
+  struct alignas(std::max_align_t) Chunk {
+    Chunk* next;
+  };
 
   static size_t ClassOf(size_t n) {
-    // Class i serves sizes ((i)*64, (i+1)*64]; n == 0 cannot occur for
+    // Class i serves sizes (i*16, (i+1)*16]; n == 0 cannot occur for
     // coroutine frames.
     return (n - 1) / kGranularity;
   }
 
   static FrameCache& Local();
 
+  void Push(size_t cls, void* p) {
+    FreeBlock* b = static_cast<FreeBlock*>(p);
+    b->next = lists_[cls];
+    lists_[cls] = b;
+  }
+  // Cuts `bytes` (a multiple of kGranularity) from the current chunk,
+  // starting a new chunk when it is short.
+  void* Carve(size_t bytes);
+
   FreeBlock* lists_[kNumClasses] = {};
+  Chunk* chunks_ = nullptr;  // most recent first
+  char* cursor_ = nullptr;   // the current chunk's uncarved bytes
+  char* limit_ = nullptr;
 };
 
 }  // namespace declust

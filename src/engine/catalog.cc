@@ -194,7 +194,7 @@ Status FragmentStore::ClusteredAccessInto(Value lo, Value hi,
     DECLUST_ASSIGN_OR_RETURN(
         auto run, layout.ResolveRun(data_extent_, first_page,
                                     last_page - first_page + 1));
-    out->data_runs.push_back(run);
+    out->data_run = run;
   }
   return Status::OK();
 }
@@ -254,7 +254,7 @@ Status FragmentStore::ScanAccessInto(int attr, Value lo, Value hi,
   if (data_extent_.num_pages > 0) {
     DECLUST_ASSIGN_OR_RETURN(
         auto run, layout.ResolveRun(data_extent_, 0, data_extent_.num_pages));
-    out->data_runs.push_back(run);
+    out->data_run = run;
   }
   const auto& tree = (attr == 1) ? trees_->clustered_b : trees_->nonclustered_a;
   out->tuples = static_cast<int64_t>(tree.Range(lo, hi).size());

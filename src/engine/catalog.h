@@ -44,14 +44,13 @@ using storage::Value;
 /// \brief Pages one operator must read at one node, in read order.
 struct AccessPlan {
   AccessPlan() = default;
-  /// A plan whose page lists draw their storage from `pages` (an engine
-  /// site's plan lives on its frame and draws from the simulation's pooled
-  /// process memory, so the lists recycle blocks without touching the heap).
-  explicit AccessPlan(std::pmr::memory_resource* pages)
-      : data_runs(pages), pages_(pages) {}
+  /// A plan whose page list draws its storage from `pages` (an engine site's
+  /// plan lives on its frame and draws from the simulation's pooled process
+  /// memory, so the list recycles blocks without touching the heap).
+  explicit AccessPlan(std::pmr::memory_resource* pages) : pages_(pages) {}
 
   /// The explicit pages in read order: the index pages, then the data
-  /// pages (the runs follow them).
+  /// pages (the data run follows them).
   std::span<const hw::PageAddress> pages() const { return pages_; }
   /// Physical index pages (random reads: B-tree descent, then leaves).
   std::span<const hw::PageAddress> index_pages() const {
@@ -74,47 +73,44 @@ struct AccessPlan {
   /// only its own pages.
   void ReservePages(size_t n) { pages_.reserve(pages_.size() + n); }
 
-  /// Contiguous data-page ranges (clustered/scan access). One entry covers
-  /// an arbitrarily long sequential read, so a full-table scan's plan is
-  /// O(extents), not O(pages). The read path expands runs arithmetically
-  /// in the same order the per-page list used, so simulated timings are
-  /// unchanged.
-  std::pmr::vector<hw::PageRun> data_runs;
+  /// The contiguous data pages of clustered or scan access (count 0: none).
+  /// Qualifying tuples in clustered order and a fragment's data extent are
+  /// each one physical run, so a plan has at most one, and a full-table
+  /// scan's plan is O(1), not O(pages). The read path expands it
+  /// arithmetically in the order a per-page list would have, so simulated
+  /// timings are unchanged.
+  hw::PageRun data_run;
   /// Qualifying tuples found at this node.
   int64_t tuples = 0;
 
   /// Data pages across both representations.
   int64_t data_page_count() const {
-    int64_t n = static_cast<int64_t>(data_pages().size());
-    for (const auto& run : data_runs) n += run.count;
-    return n;
+    return static_cast<int64_t>(data_pages().size()) + data_run.count;
   }
 
   /// Invokes `fn(hw::PageAddress)` for every data page in read order:
-  /// explicit addresses first, then runs (plans populate only one of the
-  /// two, so the order matches the pre-run per-page plans exactly).
+  /// explicit addresses first, then the run (plans populate only one of
+  /// the two, so the order matches the pre-run per-page plans exactly).
   template <typename Fn>
   void ForEachDataPage(Fn&& fn) const {
     for (const auto& page : data_pages()) fn(page);
-    for (const auto& run : data_runs) {
-      for (int64_t i = 0; i < run.count; ++i) fn(run.At(i));
-    }
+    for (int64_t i = 0; i < data_run.count; ++i) fn(data_run.At(i));
   }
 
-  /// Empties the plan but keeps the lists' capacity, so a reused plan
+  /// Empties the plan but keeps the page list's capacity, so a reused plan
   /// stops allocating once it has warmed to the working-set size.
   void clear() {
     pages_.clear();
     index_count_ = 0;
-    data_runs.clear();
+    data_run = hw::PageRun{};
     tuples = 0;
   }
 
  private:
   /// The index pages, then the data pages: one list (and one resource
-  /// pointer) for both, which keeps a site's frame small.
+  /// pointer), which keeps a site's frame small.
   std::pmr::vector<hw::PageAddress> pages_;
-  size_t index_count_ = 0;
+  uint32_t index_count_ = 0;
 };
 
 /// \brief Reusable scratch for plan construction. Plan building is

@@ -7,60 +7,6 @@ namespace declust::engine {
 
 namespace {
 
-// Walks a plan's pages in read order: index pages, explicit data pages, then
-// each run expanded arithmetically. This is the order the per-page plans
-// used, so the disk sees an identical address sequence. The cursor lives on
-// the select's frame, so it holds two 32-bit list positions and no plan.
-class PageCursor {
- public:
-  bool Next(const AccessPlan& plan, hw::PageAddress* page) {
-    if (i_ < plan.pages().size()) {
-      *page = plan.pages()[i_++];
-      return true;
-    }
-    for (; run_ < plan.data_runs.size(); ++run_, j_ = 0) {
-      const hw::PageRun& run = plan.data_runs[run_];
-      if (j_ < run.count) {
-        *page = run.At(j_++);
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  uint32_t i_ = 0;
-  uint32_t run_ = 0;
-  int64_t j_ = 0;
-};
-
-// The CPU demands of one select, in the order it makes them: activation,
-// then for each page the pool lookup, the DMA interrupt that moves a read
-// page out of the SCSI FIFO and the page processing, then the tuple work.
-enum class SelectStep { kActivate, kLookup, kRead, kProcess, kTuples };
-
-hw::Cpu::Awaiter SelectCpu(hw::Node* node, SelectStep step,
-                           const AccessPlan& plan, const OperatorCosts& costs,
-                           SelectKind kind) {
-  switch (step) {
-    case SelectStep::kActivate:
-      return node->cpu().Run(costs.startup_instructions);
-    case SelectStep::kLookup:
-      return node->cpu().Run(costs.buffer_lookup_instructions);
-    case SelectStep::kRead:
-      return node->cpu().RunDma(node->params().scsi_transfer_instructions);
-    case SelectStep::kProcess:
-      break;
-    case SelectStep::kTuples:
-      // An aux lookup only extracts (tuple id, processor) pairs.
-      return node->cpu().Run(
-          kind == SelectKind::kData
-              ? plan.tuples * costs.per_tuple_instructions
-              : plan.tuples * costs.per_tuple_instructions / 4);
-  }
-  return node->cpu().Run(node->params().read_page_instructions);
-}
-
 // Deterministic capped exponential backoff before retry `attempt` of a
 // page read (no randomness: the retry trace must be identical across runs
 // with the same seed).
@@ -89,105 +35,158 @@ bool RetryRead(Status* st, int attempt, const FaultContext* fc, double now) {
   return true;
 }
 
-// Bytes of the next tuple packet when `left` qualifying tuples remain to
-// ship: a full packet or the rest.
-int PacketBytes(const hw::HwParams& params, int64_t left) {
-  return static_cast<int>(
-      std::min<int64_t>(left, params.tuples_per_packet) *
-      params.tuple_size_bytes);
-}
-
 }  // namespace
 
-sim::Task<Status> RunSelect(hw::Node* node, const AccessPlan& plan,
-                            int result_node, const OperatorCosts& costs,
-                            BufferPool* pool, FaultContext* fc,
-                            obs::QueryObs* qo, SelectKind kind) {
-  // The page loop is inline and every step shares one Status, so a site
-  // parked on its disk holds just this frame and its own. GCC gives each
-  // co_await site, each local of the body and each temporary of a
-  // co_await's full-expression its own frame slot: hence one await per kind
-  // (CPU, disk read, backoff, send), few locals, open spans kept on `qo`,
-  // and awaited arguments computed by plain functions.
-  const uint64_t saved_span = qo != nullptr ? qo->span : 0;
-  if (kind == SelectKind::kData) {
-    obs::PushSpan(qo, "select", obs::Component::kQuery, node->id(),
-                  node->simulation()->now());
+HwAwaiter SelectOp::Wait(const SelectSite& at) const {
+  hw::Node& node = *at.node;
+  switch (hw_) {
+    case Hw::kRead:
+      return node.disk().Read(page_);
+    case Hw::kBackoff:
+      return HwAwaiter::Timer{
+          node.simulation()->WaitFor(BackoffMs(attempt_, *at.fc->policy)),
+          Status::OK()};
+    case Hw::kSend:
+      // A full packet or the rest.
+      return node.network().Send(
+          node.id(), at.result_node,
+          static_cast<int>(
+              std::min<int64_t>(left_, node.params().tuples_per_packet) *
+              node.params().tuple_size_bytes));
+    case Hw::kCpu:
+    case Hw::kNone:
+      break;
+  }
+  const OperatorCosts& costs = *at.costs;
+  switch (step_) {
+    case Step::kActivate:
+      return node.cpu().Run(costs.startup_instructions);
+    case Step::kLookup:
+      return node.cpu().Run(costs.buffer_lookup_instructions);
+    case Step::kRead:
+      return node.cpu().RunDma(node.params().scsi_transfer_instructions);
+    case Step::kProcess:
+      break;
+    case Step::kTuples:
+      // An aux lookup only extracts (tuple id, processor) pairs.
+      return node.cpu().Run(
+          at.kind == SelectKind::kData
+              ? at.plan->tuples * costs.per_tuple_instructions
+              : at.plan->tuples * costs.per_tuple_instructions / 4);
+  }
+  return node.cpu().Run(node.params().read_page_instructions);
+}
+
+bool SelectOp::Ask(const SelectSite& at, Hw hw) {
+  if (hw != Hw::kBackoff) obs::ArmHw(at.qo);
+  hw_ = hw;
+  return true;
+}
+
+void SelectOp::Start(const SelectSite& at) {
+  saved_span_ = at.qo != nullptr ? at.qo->span : 0;
+  if (at.kind == SelectKind::kData) {
+    obs::PushSpan(at.qo, "select", obs::Component::kQuery, at.node->id(),
+                  at.node->simulation()->now());
   }
   // The page spans' parent: the select span when one opened.
-  const uint64_t select_span = qo != nullptr ? qo->span : 0;
+  select_span_ = at.qo != nullptr ? at.qo->span : 0;
+  page_pos_ = 0;
+  run_pos_ = 0;
+  step_ = Step::kActivate;
+  Ask(at, Hw::kCpu);
+}
 
-  // Index pages are random reads; data pages are sequential for clustered
-  // scans and random otherwise (the addresses in the plan and the elevator
-  // model decide). A page's steps are the pool lookup (pooled nodes only),
-  // the disk read and its DMA, then processing; a pool hit skips the read.
-  PageCursor pages;
-  hw::PageAddress page;
-  Status st;
-  double begin_ms = 0.0;  // start of the backoff or packet send in progress
-  for (SelectStep step = SelectStep::kActivate;;) {
-    if (step == SelectStep::kRead) {
-      for (int attempt = 0;; ++attempt) {
-        obs::ArmHw(qo);
-        st = co_await node->disk().Read(page);
-        if (st.ok() ||
-            !RetryRead(&st, attempt, fc, node->simulation()->now())) {
-          break;
-        }
-        begin_ms = node->simulation()->now();
-        co_await node->simulation()->WaitFor(BackoffMs(attempt, *fc->policy));
-        if (qo != nullptr) {
-          qo->costs.backoff_ms += node->simulation()->now() - begin_ms;
-          obs::CompleteSpan(qo, "backoff", obs::Component::kBackoff,
-                            node->id(), begin_ms, node->simulation()->now());
-        }
+bool SelectOp::Next(const SelectSite& at, Status* st) {
+  const double now = at.node->simulation()->now();
+  switch (hw_) {
+    case Hw::kRead:
+      if (!st->ok() && RetryRead(st, attempt_, at.fc, now)) {
+        begin_ms_ = now;
+        return Ask(at, Hw::kBackoff);
       }
+      if (!st->ok()) return EndStep(at, *st);
       // The read succeeded; only now may the page become resident.
       // Inserting before the read (the old Touch semantics) left
       // fault-aborted reads cached, so the retry saw a phantom hit and
       // skipped the disk entirely.
-      if (st.ok() && pool != nullptr) pool->Insert(page);
-    }
-    if (st.ok()) {
-      obs::ArmHw(qo);
-      st = co_await SelectCpu(node, step, plan, costs, kind);
-    }
-    if (!st.ok() || step == SelectStep::kProcess) {
-      obs::PopSpan(qo, select_span, node->simulation()->now());
-    }
-    if (!st.ok() || step == SelectStep::kTuples) break;
-    if (step == SelectStep::kLookup) {
-      step = pool->Lookup(page) ? SelectStep::kProcess : SelectStep::kRead;
-    } else if (step == SelectStep::kRead) {
-      step = SelectStep::kProcess;
-    } else if (pages.Next(plan, &page)) {
-      obs::PushSpan(qo, "page", obs::Component::kQuery, node->id(),
-                    node->simulation()->now());
-      step = pool != nullptr ? SelectStep::kLookup : SelectStep::kRead;
-    } else if (plan.tuples > 0) {
-      step = SelectStep::kTuples;
-    } else {
+      if (at.pool != nullptr) at.pool->Insert(page_);
+      return Ask(at, Hw::kCpu);  // the read's DMA
+    case Hw::kBackoff:
+      if (at.qo != nullptr) {
+        at.qo->costs.backoff_ms += now - begin_ms_;
+        obs::CompleteSpan(at.qo, "backoff", obs::Component::kBackoff,
+                          at.node->id(), begin_ms_, now);
+      }
+      ++attempt_;
+      return Ask(at, Hw::kRead);
+    case Hw::kCpu:
+      return EndStep(at, *st);
+    case Hw::kSend:
+      if (!st->ok()) {
+        left_ = 0;
+      } else {
+        if (at.qo != nullptr) at.qo->costs.network_ms += now - begin_ms_;
+        left_ -= at.node->params().tuples_per_packet;
+      }
+      return NextPacket(at);
+    case Hw::kNone:
       break;
-    }
   }
+  return false;
+}
 
-  // Ship qualifying tuples to the result site in tuple packets. The await
-  // covers this interface's occupancy (delivery at the receiver proceeds
-  // asynchronously), so the elapsed time is this query's network share.
-  for (int64_t left = st.ok() && kind == SelectKind::kData ? plan.tuples : 0;
-       left > 0; left -= node->params().tuples_per_packet) {
-    begin_ms = node->simulation()->now();
-    obs::ArmHw(qo);
-    st = co_await node->network().Send(node->id(), result_node,
-                                       PacketBytes(node->params(), left));
-    if (!st.ok()) break;
-    if (qo != nullptr) {
-      qo->costs.network_ms += node->simulation()->now() - begin_ms;
-    }
+bool SelectOp::EndStep(const SelectSite& at, const Status& st) {
+  // Index pages are random reads; data pages are sequential for clustered
+  // scans and random otherwise (the addresses in the plan and the elevator
+  // model decide). A page's steps are the pool lookup (pooled nodes only),
+  // the disk read and its DMA, then processing; a pool hit skips the read.
+  const AccessPlan& plan = *at.plan;
+  const double now = at.node->simulation()->now();
+  if (!st.ok() || step_ == Step::kProcess) {
+    obs::PopSpan(at.qo, select_span_, now);
   }
+  left_ = 0;
+  if (!st.ok()) return NextPacket(at);
+  if (step_ == Step::kTuples) {
+    // Ship qualifying tuples to the result site in tuple packets. Each send
+    // covers this interface's occupancy (delivery at the receiver proceeds
+    // asynchronously), so its elapsed time is this query's network share.
+    if (at.kind == SelectKind::kData) left_ = plan.tuples;
+    return NextPacket(at);
+  }
+  if (step_ == Step::kLookup) {
+    step_ = at.pool->Lookup(page_) ? Step::kProcess : Step::kRead;
+  } else if (step_ == Step::kRead) {
+    step_ = Step::kProcess;
+  } else if (page_pos_ < plan.pages().size() ||
+             run_pos_ < plan.data_run.count) {
+    // Pages in read order: index pages, explicit data pages, then the run
+    // expanded arithmetically, the address sequence per-page plans gave.
+    page_ = page_pos_ < plan.pages().size() ? plan.pages()[page_pos_++]
+                                            : plan.data_run.At(run_pos_++);
+    obs::PushSpan(at.qo, "page", obs::Component::kQuery, at.node->id(), now);
+    step_ = at.pool != nullptr ? Step::kLookup : Step::kRead;
+  } else if (plan.tuples > 0) {
+    step_ = Step::kTuples;
+  } else {
+    return NextPacket(at);
+  }
+  if (step_ == Step::kRead) {
+    attempt_ = 0;
+    return Ask(at, Hw::kRead);
+  }
+  return Ask(at, Hw::kCpu);
+}
 
-  obs::PopSpan(qo, saved_span, node->simulation()->now());
-  co_return st;
+bool SelectOp::NextPacket(const SelectSite& at) {
+  if (left_ > 0) {
+    begin_ms_ = at.node->simulation()->now();
+    return Ask(at, Hw::kSend);
+  }
+  obs::PopSpan(at.qo, saved_span_, at.node->simulation()->now());
+  hw_ = Hw::kNone;
+  return false;
 }
 
 }  // namespace declust::engine

@@ -10,19 +10,6 @@
 
 namespace declust::engine {
 
-namespace {
-
-// Bytes of a site's done message: an aux site's reply carries the processor
-// list (8 bytes per qualifying entry), up to one packet. Computed outside the
-// site's coroutine, whose frame would otherwise hold std::min's temporaries.
-int DoneMessageBytes(const hw::HwParams& hw, bool aux, int64_t tuples) {
-  if (!aux) return hw.control_message_bytes;
-  return static_cast<int>(std::min<int64_t>(
-      hw.max_packet_bytes, hw.control_message_bytes + 8 * tuples));
-}
-
-}  // namespace
-
 System::System(sim::Simulation* sim, SystemConfig config,
                const storage::Relation* relation,
                const decluster::Partitioning* partitioning,
@@ -370,8 +357,8 @@ sim::Task<Status> System::ExecuteQuery(workload::QueryInstance q,
   if (!sites.aux_nodes.empty()) {
     sim::JoinCounter aux_join(sim_, static_cast<int>(sites.aux_nodes.size()));
     for (int node : sites.aux_nodes) {
-      sim_->Spawn(
-          RunSite(&ctx, &aux_join, SiteKind::kAux, node, /*site_idx=*/0));
+      sim_->Spawn(RunSite(Site(&ctx, &aux_join, SiteKind::kAux, node,
+                               /*index=*/0, sim_->process_memory())));
     }
     co_await aux_join.Wait();
     DECLUST_CO_RETURN_NOT_OK(ctx.status);
@@ -383,8 +370,9 @@ sim::Task<Status> System::ExecuteQuery(workload::QueryInstance q,
     ctx.serving.assign(sites.data_nodes.size(), -1);
     sim::JoinCounter join(sim_, static_cast<int>(sites.data_nodes.size()));
     for (size_t i = 0; i < sites.data_nodes.size(); ++i) {
-      sim_->Spawn(RunSite(&ctx, &join, SiteKind::kData, sites.data_nodes[i],
-                          static_cast<int>(i)));
+      sim_->Spawn(RunSite(Site(&ctx, &join, SiteKind::kData,
+                               sites.data_nodes[i], static_cast<int>(i),
+                               sim_->process_memory())));
     }
     co_await join.Wait();
     DECLUST_CO_RETURN_NOT_OK(ctx.status);
@@ -413,93 +401,162 @@ sim::Task<Status> System::ExecuteQuery(workload::QueryInstance q,
   co_return Status::OK();
 }
 
-sim::Task<> System::RunSite(QueryContext* ctx, sim::JoinCounter* join,
-                            SiteKind kind, int slice, int site_idx) {
+sim::Task<> System::RunSite(Site site) {
+  StartSite(&site);
+  Status st;
+  do {
+    if (site.phase == SitePhase::kControl || site.phase == SitePhase::kReply) {
+      st = co_await SiteMessage(site);
+    } else {
+      st = co_await SiteHw(site);
+    }
+  } while (NextSiteAwait(&site, &st));
+  FinishSite(&site, st);
+}
+
+void System::StartSite(Site* site) {
   // Give the site its own handle: sibling sites interleave, so they must
   // not share the parent's span cursor or probe-arming window. Costs are
   // merged before the join fires (while the parent still awaits it).
-  obs::QueryObs* sq = nullptr;
-  if (ctx->qo != nullptr && ctx->qo->probe != nullptr) {
-    sq = site_obs_.New(
-        obs::QueryObs{ctx->qo->probe, ctx->qo->query, ctx->qo->span, {}});
+  const QueryContext& ctx = *site->ctx;
+  if (ctx.qo != nullptr && ctx.qo->probe != nullptr) {
+    site->sq = site_obs_.New(
+        obs::QueryObs{ctx.qo->probe, ctx.qo->query, ctx.qo->span, {}});
   }
-  if (config_.audit != nullptr) config_.audit->OnSiteDispatched(slice);
+  if (config_.audit != nullptr) config_.audit->OnSiteDispatched(site->slice);
 
   // Scheduler-side work to activate this site.
-  obs::PushSpan(sq, "site.activate", obs::Component::kScheduler, ctx->coord,
-                sim_->now());
-  obs::ArmHw(sq);
-  Status st = co_await machine_->node(ctx->coord).cpu().Run(
-      config_.costs.per_site_sched_instructions);
-  obs::PopSpan(sq, sq != nullptr ? ctx->qo->span : 0, sim_->now());
+  obs::PushSpan(site->sq, "site.activate", obs::Component::kScheduler,
+                ctx.coord, sim_->now());
+  obs::ArmHw(site->sq);
+}
 
-  SiteRead read = SiteRead::kPrimary;
-  int exec = -1;
-  AccessPlan plan(sim_->process_memory());
-  if (st.ok()) {
-    // Owner resolved at dispatch time: under an elastic plan the slice may
-    // live on any member (OwnerOf is the identity otherwise).
-    if (config_.resize != nullptr) metrics_.RecordSliceAccess(slice);
-    exec = bindings_[static_cast<size_t>(ctx->rel)].catalog->OwnerOf(slice);
-    if (!SiteUp(exec)) {
-      // Built only here: every non-OK Status allocates its State.
-      st = Status::Unavailable(kind == SiteKind::kAux ? "primary aux site down"
-                                                      : "primary site down");
-      exec = NextSiteNode(*ctx, kind, slice, exec, &read, &st);
-    }
+bool System::NextSiteAwait(Site* site, Status* st) {
+  switch (site->phase) {
+    case SitePhase::kActivate:
+      obs::PopSpan(site->sq, site->sq != nullptr ? site->ctx->qo->span : 0,
+                   sim_->now());
+      if (st->ok()) {
+        // Owner resolved at dispatch time: under an elastic plan the slice
+        // may live on any member (OwnerOf is the identity otherwise).
+        if (config_.resize != nullptr) metrics_.RecordSliceAccess(site->slice);
+        site->exec = bindings_[static_cast<size_t>(site->ctx->rel)]
+                         .catalog->OwnerOf(site->slice);
+        if (!SiteUp(site->exec)) {
+          // Built only here: every non-OK Status allocates its State.
+          *st = Status::Unavailable(site->kind == SiteKind::kAux
+                                        ? "primary aux site down"
+                                        : "primary site down");
+          site->exec = NextSiteNode(*site->ctx, site->kind, site->slice,
+                                    site->exec, &site->read, st);
+        }
+      }
+      return StartAttempt(site, st);
+    case SitePhase::kControl:
+      if (!st->ok()) break;
+      // The operator runs with the node's resources; results flow back to
+      // the query's scheduler.
+      site->phase = SitePhase::kSelect;
+      site->op.Start(SelectAt(*site));
+      return true;
+    case SitePhase::kSelect:
+      if (site->op.Next(SelectAt(*site), st)) return true;
+      if (!st->ok()) break;
+      site->phase = SitePhase::kReply;
+      return true;
+    case SitePhase::kReply:
+      break;
   }
+  return EndAttempt(site, st) && StartAttempt(site, st);
+}
 
-  while (exec >= 0) {
-    obs::PushSpan(sq, kind == SiteKind::kAux ? "site.aux" : "site",
-                  obs::Component::kQuery, exec, sim_->now());
-    if (config_.resize != nullptr) config_.resize->OnSiteExecBegin(exec);
+bool System::StartAttempt(Site* site, Status* st) {
+  while (site->exec >= 0) {
+    obs::PushSpan(site->sq, site->kind == SiteKind::kAux ? "site.aux" : "site",
+                  obs::Component::kQuery, site->exec, sim_->now());
+    if (config_.resize != nullptr) config_.resize->OnSiteExecBegin(site->exec);
     // The plan is built before the first await: a migration epoch flip
     // cannot land between the owner resolution and here, so the page
     // addresses always match the copy `exec` actually hosts (the old extents
     // stay valid through the flip — they are abandoned, never invalidated —
     // so reads planned pre-flip drain safely).
-    st = BuildSitePlan(*ctx, kind, slice, read == SiteRead::kBackup, &plan);
-    if (st.ok()) {
-      st = co_await DeliverMessage(sim_, &machine_->network(), ctx->coord,
-                                   exec, config_.hw.control_message_bytes, sq);
+    *st = BuildSitePlan(*site->ctx, site->kind, site->slice,
+                        site->read == SiteRead::kBackup, &site->plan);
+    if (st->ok()) {
+      site->phase = SitePhase::kControl;
+      return true;
     }
-    if (st.ok()) {
-      // The operator runs with the node's resources; results flow back to
-      // the query's scheduler.
-      st = co_await RunSelect(
-          &machine_->node(exec), plan, ctx->coord, config_.costs,
-          kind == SiteKind::kAux || pools_.empty()
-              ? nullptr
-              : pools_[static_cast<size_t>(exec)].get(),
-          &ctx->fault, sq,
-          kind == SiteKind::kAux ? SelectKind::kAuxLookup : SelectKind::kData);
-    }
-    if (st.ok()) {
-      // Done message back to the scheduler; an aux site's reply is not
-      // charged to the query.
-      st = co_await DeliverMessage(
-          sim_, &machine_->network(), exec, ctx->coord,
-          DoneMessageBytes(config_.hw, kind == SiteKind::kAux, plan.tuples),
-          kind == SiteKind::kAux ? nullptr : sq);
-    }
-    if (config_.resize != nullptr) config_.resize->OnSiteExecEnd(exec);
-    obs::PopSpan(sq, sq != nullptr ? ctx->qo->span : 0, sim_->now());
-
-    if (st.ok()) {
-      ReportServe(*ctx, kind, slice, site_idx, exec, read);
-      break;
-    }
-    if (st.IsDeadlineExceeded()) break;
-    exec = NextSiteNode(*ctx, kind, slice, exec, &read, &st);
+    if (!EndAttempt(site, st)) break;
   }
+  return false;
+}
 
-  if (config_.audit != nullptr) config_.audit->OnSiteFinished(slice);
-  if (sq != nullptr) {
-    ctx->qo->costs += sq->costs;
-    site_obs_.Delete(sq);
+bool System::EndAttempt(Site* site, Status* st) {
+  if (config_.resize != nullptr) config_.resize->OnSiteExecEnd(site->exec);
+  obs::PopSpan(site->sq, site->sq != nullptr ? site->ctx->qo->span : 0,
+               sim_->now());
+  if (st->ok()) {
+    ReportServe(*site->ctx, site->kind, site->slice, site->site_idx,
+                site->exec, site->read);
+    return false;
   }
-  if (!st.ok()) ctx->Merge(st);
-  join->CountDown();
+  if (st->IsDeadlineExceeded()) return false;
+  site->exec = NextSiteNode(*site->ctx, site->kind, site->slice, site->exec,
+                            &site->read, st);
+  return site->exec >= 0;
+}
+
+void System::FinishSite(Site* site, const Status& st) {
+  if (config_.audit != nullptr) config_.audit->OnSiteFinished(site->slice);
+  if (site->sq != nullptr) {
+    site->ctx->qo->costs += site->sq->costs;
+    site_obs_.Delete(site->sq);
+  }
+  if (!st.ok()) site->ctx->Merge(st);
+  site->join->CountDown();
+}
+
+SelectSite System::SelectAt(const Site& site) {
+  const bool aux = site.kind == SiteKind::kAux;
+  return SelectSite{
+      &machine_->node(site.exec),
+      &site.plan,
+      &config_.costs,
+      aux || pools_.empty() ? nullptr
+                            : pools_[static_cast<size_t>(site.exec)].get(),
+      &site.ctx->fault,
+      site.sq,
+      site.ctx->coord,
+      aux ? SelectKind::kAuxLookup : SelectKind::kData};
+}
+
+HwAwaiter System::SiteHw(const Site& site) {
+  if (site.phase == SitePhase::kActivate) {
+    return machine_->node(site.ctx->coord)
+        .cpu()
+        .Run(config_.costs.per_site_sched_instructions);
+  }
+  return site.op.Wait(SelectAt(site));
+}
+
+sim::Task<Status> System::SiteMessage(const Site& site) {
+  if (site.phase == SitePhase::kControl) {
+    return DeliverMessage(sim_, &machine_->network(), site.ctx->coord,
+                          site.exec, config_.hw.control_message_bytes,
+                          site.sq);
+  }
+  // An aux site's reply carries the processor list (8 bytes per
+  // qualifying entry), up to one packet, and is not charged to the query.
+  const hw::HwParams& hw = config_.hw;
+  if (site.kind == SiteKind::kAux) {
+    return DeliverMessage(
+        sim_, &machine_->network(), site.exec, site.ctx->coord,
+        static_cast<int>(std::min<int64_t>(
+            hw.max_packet_bytes,
+            hw.control_message_bytes + 8 * site.plan.tuples)));
+  }
+  return DeliverMessage(sim_, &machine_->network(), site.exec,
+                        site.ctx->coord, hw.control_message_bytes, site.sq);
 }
 
 Status System::BuildSitePlan(const QueryContext& ctx, SiteKind kind,

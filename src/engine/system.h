@@ -216,26 +216,78 @@ class System {
                                  QueryScratch* scratch, obs::QueryObs* qo);
 
   /// Which operator a site runs: a data select, or a BERD aux lookup.
-  enum class SiteKind { kData, kAux };
+  enum class SiteKind : uint8_t { kData, kAux };
   /// Which copy of its slice a site attempt reads.
-  enum class SiteRead { kPrimary, kRedirect, kBackup };
+  enum class SiteRead : uint8_t { kPrimary, kRedirect, kBackup };
+  /// Where a site is: the scheduler's activation CPU, then per attempt the
+  /// control message in, the select, and the done message back.
+  enum class SitePhase : uint8_t { kActivate, kControl, kSelect, kReply };
 
-  /// One data or aux site of `ctx`'s query: activation at the scheduler,
-  /// then the select at the slice's owner (control message in, RunSelect,
-  /// done message back), all in this one frame, so a site parked on its
-  /// disk holds just this frame and RunSelect's. The site's plan lives on
-  /// the frame too; its page lists draw from the simulation's process
-  /// memory. A failed attempt moves on to the node NextSiteNode picks.
-  /// `slice` is the partitioning fragment id; the node that executes it is
-  /// resolved at dispatch time (the identity without an elastic plan).
-  /// `site_idx` indexes ctx->serving (data sites only).
+  /// One data or aux site of `ctx`'s query, and everything it keeps across
+  /// its awaits: the current attempt's plan and select, the node executing
+  /// it and which copy of the slice that node reads. `slice` is the
+  /// partitioning fragment id; the node that executes it is resolved at
+  /// dispatch time (the identity without an elastic plan). `site_idx`
+  /// indexes ctx->serving (data sites only).
+  struct Site {
+    Site(QueryContext* query, sim::JoinCounter* done, SiteKind site_kind,
+         int site_slice, int index, std::pmr::memory_resource* pages)
+        : ctx(query),
+          join(done),
+          plan(pages),
+          slice(site_slice),
+          site_idx(index),
+          kind(site_kind) {}
+    QueryContext* ctx;
+    sim::JoinCounter* join;
+    /// The site's own handle, with a probe only: sibling sites interleave,
+    /// so they cannot share the query's span cursor or probe arming.
+    obs::QueryObs* sq = nullptr;
+    AccessPlan plan;
+    SelectOp op;
+    int slice;
+    int site_idx;
+    int exec = -1;
+    SiteKind kind;
+    SiteRead read = SiteRead::kPrimary;
+    SitePhase phase = SitePhase::kActivate;
+  };
+
+  /// Runs one site: activation at the scheduler, then attempts at the
+  /// slice's owner (control message in, the select, done message back)
+  /// until one succeeds, the deadline passes or NextSiteNode finds no copy
+  /// left. The site and its select live in this one frame, so a site parked
+  /// on its disk holds just this frame. The frame makes two awaits, each
+  /// decided by plain functions: every hardware wait through one HwAwaiter
+  /// (SiteHw), and the control and done messages (SiteMessage). The plan's
+  /// page list draws from the simulation's process memory.
   ///
-  /// With a probe, the site gets its own QueryObs (sharing the query id and
-  /// parent span) whose costs are merged into the query's before the join
-  /// fires; sites of one query interleave, so they cannot share one span
-  /// cursor or ArmHw through the same handle.
-  sim::Task<> RunSite(QueryContext* ctx, sim::JoinCounter* join,
-                      SiteKind kind, int slice, int site_idx);
+  /// With a probe, the site's handle (sharing the query id and parent span)
+  /// comes from a slab pool, and its costs are merged into the query's
+  /// before the join fires.
+  sim::Task<> RunSite(Site site);
+  /// Opens the site and asks for its activation CPU.
+  void StartSite(Site* site);
+  /// Takes the Status of the site's last await in `*st`. True: the site
+  /// awaits again (a message in kControl or kReply, else SiteHw); false:
+  /// the site has ended with its final status in `*st`.
+  bool NextSiteAwait(Site* site, Status* st);
+  /// Starts an attempt at site->exec (none when it is -1): its span, the
+  /// plan, then the control message. A plan that fails to build ends the
+  /// attempt at once. Returns as NextSiteAwait does.
+  bool StartAttempt(Site* site, Status* st);
+  /// Ends the attempt at site->exec with `*st`; true when another starts at
+  /// the node NextSiteNode picked.
+  bool EndAttempt(Site* site, Status* st);
+  /// Closes the site: audit, cost merge, the query's status, the join.
+  void FinishSite(Site* site, const Status& st);
+  /// Where the site's select runs, what it reads and where results go.
+  SelectSite SelectAt(const Site& site);
+  /// The site's hardware wait: the activation CPU, or the select's.
+  HwAwaiter SiteHw(const Site& site);
+  /// The site's message: the control message, or the done reply (an aux
+  /// site's reply is not charged to the query).
+  sim::Task<Status> SiteMessage(const Site& site);
   /// After a site's attempt on `*read`'s copy at `failed` failed with `*st`
   /// (and not by the deadline), picks the next attempt: one redirect to the
   /// slice's current owner when a migration flip moved it away from the

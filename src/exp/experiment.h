@@ -76,6 +76,11 @@ struct ExperimentConfig {
   /// rate (OpenPlan::OverrideConstantRate). Empty = a single sweep level
   /// running the plan's own (possibly time-varying) schedule.
   std::vector<double> offered_loads;
+  /// Build chained-declustering backups without a fault plan (a fault plan
+  /// always builds them). Not a command-line option: the audit
+  /// differential sets it for the baseline of its inactive-fault-plan
+  /// variant, so that the pair differs only in the armed injector.
+  bool chained_backups = false;
 };
 
 /// \brief One measured sweep point. All metrics are averaged across the

@@ -67,6 +67,7 @@ Result<RepMetrics> RunSweepPointRep(
   sys_config.audit = auditor;
   // The plan lives on this frame; each replication parses it independently
   // so the function stays a pure function of its arguments.
+  sys_config.catalog.chained_backups = config.chained_backups;
   sim::FaultPlan fault_plan;
   if (!config.faults.empty()) {
     DECLUST_ASSIGN_OR_RETURN(fault_plan, sim::FaultPlan::Parse(config.faults));
@@ -1241,19 +1242,30 @@ Result<audit::DifferentialReport> RunAuditDifferential(
   DECLUST_RETURN_NOT_OK(run_variant(
       &report, "jobs=" + std::to_string(par) + "+audit", config, par, true));
 
-  if (config.faults.empty() && config.open.empty()) {
-    // Armed-but-inactive plan: chained backups are built and the injector is
-    // armed, but the event fires far beyond the simulated horizon — results
-    // must not move (backups live after the primary extents; see PR 2).
-    // Skipped for open configs: an extra relation's shared-disk catalog
-    // allocates AFTER the base catalog's extents, so building base backups
-    // legitimately shifts its extent addresses (and disk seek times).
-    ExperimentConfig armed = config;
+  if (config.faults.empty()) {
+    // Armed-but-inactive plan: the injector is armed, but its one event
+    // fires far beyond the simulated horizon, so results must not move.
+    // A fault plan also builds chained backups, which move results by
+    // design (DESIGN §10): a migration re-chains them with real copies,
+    // and an open run's extra relations are placed after them. So the
+    // variant's baseline builds the same backups without an injector, and
+    // that baseline must equal jobs=1 only on a static closed
+    // configuration.
+    ExperimentConfig backed = config;
+    backed.chained_backups = true;
+    const size_t backed_index = report.variants.size();
+    DECLUST_RETURN_NOT_OK(run_variant(&report, "backups", backed, 1, true));
+    if (!config.resize.empty() || !config.control.empty() ||
+        !config.open.empty()) {
+      report.variants.back().baseline = backed_index;
+    }
+    ExperimentConfig armed = backed;
     const long long never_ms = static_cast<long long>(
         (config.warmup_ms + config.measure_ms) * 10 + 1'000);
     armed.faults = "disk:node0@t=" + std::to_string(never_ms) + "ms";
     DECLUST_RETURN_NOT_OK(
         run_variant(&report, "fault-plan-inactive", armed, 1, true));
+    report.variants.back().baseline = backed_index;
   }
   return report;
 }

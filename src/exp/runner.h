@@ -186,12 +186,16 @@ Status RunExplain(const ExperimentConfig& config,
 ///   1. jobs=1, unaudited           (baseline)
 ///   2. jobs=1, audited             (audit layer must only observe)
 ///   3. jobs=N, audited             (scheduling independence, N >= 2)
-///   4. jobs=1, audited, plus an armed-but-inactive fault plan
-///      (chained backups built, event far beyond the horizon) — only when
-///      `config` itself is fault-free.
-/// Each variant's aggregated curve is digested exactly as the run manifest
-/// digests it; any digest differing from the baseline is a reproducibility
-/// bug. Audit violations inside a variant fail the check outright.
+///   4. jobs=1, audited, with chained backups built (its own baseline on
+///      an elastic, controlled or open configuration, whose extent
+///      placement backups move by design)
+///   5. variant 4 plus an armed-but-inactive fault plan (event far beyond
+///      the horizon), compared with variant 4
+/// Variants 4 and 5 run only when `config` itself is fault-free. Each
+/// variant's aggregated curve is digested exactly as the run manifest
+/// digests it; any digest differing from its baseline's is a
+/// reproducibility bug. Audit violations inside a variant fail the check
+/// outright.
 Result<audit::DifferentialReport> RunAuditDifferential(
     const ExperimentConfig& config, const RunnerOptions& options);
 

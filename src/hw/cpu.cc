@@ -18,13 +18,12 @@ void Cpu::Submit(std::coroutine_handle<> h, double ms, bool dma,
   if (faults_ != nullptr) {
     ms *= faults_->SlowFactor(node_id_, sim_->now());
   }
-  Job job{h, ms, status_out, {}, 0.0, 0.0, dma};
+  Job job{h, ms, status_out, nullptr, dma};
   if (probe_ != nullptr) {
     // await_suspend runs inside the awaiting coroutine, so the armed
     // context belongs to the query issuing this job.
-    job.octx = probe_->context();
-    job.submit_ms = sim_->now();
-    job.demand_ms = ms;
+    job.sub = subs_.New(
+        obs::Probe::Submission{probe_->context(), sim_->now(), ms});
   }
   if (dma) {
     dma_queue_.push_back(std::move(job));
@@ -101,9 +100,11 @@ void Cpu::OnNormalComplete() {
       !faults_->NodeUp(node_id_, sim_->now())) {
     *done.status_out = Status::Unavailable("node crashed during request");
   }
-  if (probe_ != nullptr) {
-    probe_->OnCpuComplete(done.octx, node_id_, /*dma=*/false, done.submit_ms,
-                          done.demand_ms, sim_->now());
+  if (done.sub != nullptr) {
+    probe_->OnCpuComplete(done.sub->ctx, node_id_, /*dma=*/false,
+                          done.sub->submit_ms, done.sub->demand_ms,
+                          sim_->now());
+    subs_.Delete(done.sub);
   }
   sim_->ScheduleResume(sim_->now(), done.handle);
   Dispatch();
@@ -118,9 +119,11 @@ void Cpu::OnDmaComplete() {
       !faults_->NodeUp(node_id_, sim_->now())) {
     *done.status_out = Status::Unavailable("node crashed during request");
   }
-  if (probe_ != nullptr) {
-    probe_->OnCpuComplete(done.octx, node_id_, /*dma=*/true, done.submit_ms,
-                          done.demand_ms, sim_->now());
+  if (done.sub != nullptr) {
+    probe_->OnCpuComplete(done.sub->ctx, node_id_, /*dma=*/true,
+                          done.sub->submit_ms, done.sub->demand_ms,
+                          sim_->now());
+    subs_.Delete(done.sub);
   }
   sim_->ScheduleResume(sim_->now(), done.handle);
   Dispatch();

@@ -8,6 +8,7 @@
 #include <coroutine>
 #include <cstdint>
 
+#include "src/common/arena.h"
 #include "src/common/ring_buf.h"
 #include "src/common/status.h"
 #include "src/hw/params.h"
@@ -88,11 +89,12 @@ class Cpu {
     std::coroutine_handle<> handle;
     double remaining_ms;
     Status* status_out = nullptr;
-    obs::Probe::Context octx;  // captured at submit when probe_ is set
-    double submit_ms = 0.0;
-    double demand_ms = 0.0;  // full (slow-factor scaled) service demand
+    // The submit-time context and full (slow-factor scaled) demand, kept
+    // only when probe_ is set.
+    obs::Probe::Submission* sub = nullptr;
     bool dma = false;
   };
+  static_assert(sizeof(Job) <= 48);
 
   enum class State { kIdle, kRunningNormal, kRunningDma };
 
@@ -121,6 +123,8 @@ class Cpu {
 
   RingBuf<Job> normal_queue_;
   RingBuf<Job> dma_queue_;
+  Arena subs_arena_;
+  SlabPool<obs::Probe::Submission> subs_{&subs_arena_};
 
   double busy_ms_ = 0.0;
   uint64_t completed_ = 0;

@@ -21,12 +21,12 @@ Disk::Disk(sim::Simulation* sim, const HwParams* params, RandomStream rng,
 
 void Disk::Submit(std::coroutine_handle<> h, PageAddress page, bool write,
                   Status* status_out) {
-  Request req{h, page, write, status_out, {}, 0.0};
+  Request req{h, page, status_out, nullptr, nullptr, write};
   if (probe_ != nullptr) {
     // await_suspend runs inside the awaiting coroutine, so the armed
     // context belongs to the query issuing this request.
-    req.octx = probe_->context();
-    req.submit_ms = sim_->now();
+    req.sub = subs_.New(
+        obs::Probe::Submission{probe_->context(), sim_->now(), 0.0});
   }
   if (policy_ == DiskSchedPolicy::kFcfs) {
     fcfs_queue_.push_back(req);
@@ -144,9 +144,10 @@ void Disk::OnComplete() {
       *req.status_out = Status::IoError("transient disk error");
     }
   }
-  if (probe_ != nullptr) {
-    probe_->OnDiskComplete(req.octx, node_id_, req.write, req.submit_ms,
-                           service_start_, sim_->now());
+  if (req.sub != nullptr) {
+    probe_->OnDiskComplete(req.sub->ctx, node_id_, req.write,
+                           req.sub->submit_ms, service_start_, sim_->now());
+    subs_.Delete(req.sub);
   }
   sim_->ScheduleResume(sim_->now(), req.handle);
   StartNext();

@@ -119,12 +119,14 @@ class Disk {
   struct Request {
     std::coroutine_handle<> handle;
     PageAddress page;
-    bool write;
     Status* status_out = nullptr;
-    obs::Probe::Context octx;  // captured at submit when probe_ is set
-    double submit_ms = 0.0;
     Request* next = nullptr;  // FIFO chain within a cylinder queue
+    // The submit-time context, kept only when probe_ is set.
+    obs::Probe::Submission* sub = nullptr;
+    bool write = false;
   };
+  // Every parked site holds one queued Request.
+  static_assert(sizeof(Request) <= 48);
 
   /// One cylinder's FIFO of pending requests (elevator policy). Lives in a
   /// sorted flat vector — the pending-cylinder count is bounded by the
@@ -156,6 +158,7 @@ class Disk {
   std::vector<CylinderQueue> pending_;
   Arena arena_;
   SlabPool<Request> req_pool_{&arena_};
+  SlabPool<obs::Probe::Submission> subs_{&arena_};
   RingBuf<Request> fcfs_queue_;
   size_t queued_ = 0;
   bool busy_ = false;

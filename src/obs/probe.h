@@ -68,6 +68,16 @@ class Probe {
     QueryCosts* costs = nullptr;  ///< cost sink, null = spans only
   };
 
+  /// What a device keeps of a request submitted while it has a probe: the
+  /// armed context, the submit time and (CPU jobs) the service demand.
+  /// Devices pool these, so a request carries one pointer to its record
+  /// and none at all when observability is off.
+  struct Submission {
+    Context ctx;
+    double submit_ms = 0.0;
+    double demand_ms = 0.0;
+  };
+
   explicit Probe(Tracer* tracer = nullptr) : tracer_(tracer) {}
 
   Tracer* tracer() const { return tracer_; }

@@ -181,6 +181,48 @@ TEST(DifferentialTest, VariantsProduceIdenticalDigests) {
   }();
 }
 
+TEST(DifferentialTest, ResizeInactiveFaultPlanMatchesItsBackupsBaseline) {
+  // 32 processors growing to 36: the chained backups a fault plan builds
+  // move this elastic catalog's extents, so the results move by design.
+  // The inactive fault plan is compared with a baseline that builds the
+  // same backups without an injector, not with jobs=1.
+  ExperimentConfig cfg;
+  cfg.strategies = {"range"};
+  cfg.cardinality = 20'000;
+  cfg.mpls = {4};
+  cfg.warmup_ms = 500;
+  cfg.measure_ms = 20'000;
+  cfg.resize = "add:node32-35@t=2s;remove:node32-35@t=8s";
+  RunnerOptions opts;
+  opts.jobs = 1;
+  auto diff = RunAuditDifferential(cfg, opts);
+  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+  ASSERT_EQ(diff->variants.size(), 5u);
+  EXPECT_EQ(diff->variants[3].label, "backups");
+  EXPECT_EQ(diff->variants[3].baseline, 3u);
+  EXPECT_EQ(diff->variants[4].label, "fault-plan-inactive");
+  EXPECT_EQ(diff->variants[4].baseline, 3u);
+  EXPECT_TRUE(diff->ok()) << [&] {
+    std::string all = diff->Summary();
+    for (const auto& m : diff->Mismatches()) all += "\n  " + m;
+    return all;
+  }();
+}
+
+TEST(DifferentialTest, ReportComparesEachVariantWithItsBaseline) {
+  audit::DifferentialReport report;
+  report.point = "range/mpl=4";
+  report.variants.push_back({"jobs=1", 0x1234u});
+  report.variants.push_back({"backups", 0x5678u, 1});
+  report.variants.push_back({"fault-plan-inactive", 0x5678u, 1});
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  report.variants[2].digest = 0x1234u;
+  const auto mismatches = report.Mismatches();
+  ASSERT_EQ(mismatches.size(), 1u);
+  EXPECT_NE(mismatches[0].find("!= backups baseline"), std::string::npos)
+      << mismatches[0];
+}
+
 TEST(DifferentialTest, ReportFlagsDivergingDigests) {
   audit::DifferentialReport report;
   report.point = "range/mpl=4";

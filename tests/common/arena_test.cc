@@ -5,11 +5,14 @@
 #include "src/common/arena.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/ring_buf.h"
@@ -154,6 +157,79 @@ TEST(FrameCacheTest, OversizedBlocksPassThrough) {
   ASSERT_NE(p, nullptr);
   std::memset(p, 0, 1 << 16);
   FrameCache::Deallocate(p, 1 << 16);
+}
+
+TEST(FrameCacheTest, AdjacentSixteenByteClassesDoNotAlias) {
+  // Live blocks of neighbouring classes (and of the same class) never
+  // overlap: each keeps its own fill.
+  std::vector<std::pair<unsigned char*, size_t>> blocks;
+  for (size_t n = 1; n <= 1024; n += 5) {
+    auto* p = static_cast<unsigned char*>(FrameCache::Allocate(n));
+    std::memset(p, static_cast<int>(blocks.size() & 0xFF), n);
+    blocks.emplace_back(p, n);
+  }
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    const auto [p, n] = blocks[i];
+    for (size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(p[j], static_cast<unsigned char>(i & 0xFF))
+          << "block " << i << " of " << n << " bytes, byte " << j;
+    }
+  }
+  for (const auto& [p, n] : blocks) FrameCache::Deallocate(p, n);
+#ifndef DECLUST_ASAN_ACTIVE
+  // A freed 336-byte block serves its class (321..336), not the next one.
+  void* a = FrameCache::Allocate(336);
+  FrameCache::Deallocate(a, 336);
+  void* b = FrameCache::Allocate(337);
+  EXPECT_NE(b, a);
+  FrameCache::Deallocate(b, 337);
+#endif
+}
+
+TEST(FrameCacheTest, BlocksAreMaxAligned) {
+  std::vector<std::pair<void*, size_t>> blocks;
+  for (size_t n : {1u, 8u, 16u, 17u, 24u, 100u, 336u, 1000u, 4095u, 4096u}) {
+    for (int k = 0; k < 3; ++k) {
+      void* p = FrameCache::Allocate(n);
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % alignof(std::max_align_t),
+                0u)
+          << n << " bytes";
+      blocks.emplace_back(p, n);
+    }
+  }
+  for (const auto& [p, n] : blocks) FrameCache::Deallocate(p, n);
+}
+
+TEST(FrameCacheTest, FreedBlockIsReusedWithinItsClass) {
+  void* a = FrameCache::Allocate(321);
+  std::memset(a, 0xAB, 321);
+  FrameCache::Deallocate(a, 321);
+  // 336 bytes is the same class as 321 (321..336).
+  void* b = FrameCache::Allocate(336);
+  std::memset(b, 0xAB, 336);
+#ifndef DECLUST_ASAN_ACTIVE
+  EXPECT_EQ(b, a);
+#endif
+  FrameCache::Deallocate(b, 336);
+}
+
+TEST(FrameCacheTest, RequestAboveFourKiBGoesToTheHeap) {
+#ifdef DECLUST_ASAN_ACTIVE
+  GTEST_SKIP() << "FrameCache passes through the heap under ASan by design";
+#else
+  // Warm the 4 KiB class, then watch glibc's allocated-bytes count: a
+  // cached size reuses its block, one byte more is a heap block of its own.
+  FrameCache::Deallocate(FrameCache::Allocate(4096), 4096);
+  const size_t before = mallinfo2().uordblks;
+  void* cached = FrameCache::Allocate(4096);
+  EXPECT_EQ(mallinfo2().uordblks, before);
+  FrameCache::Deallocate(cached, 4096);
+  void* big = FrameCache::Allocate(4097);
+  std::memset(big, 0, 4097);
+  EXPECT_GE(mallinfo2().uordblks, before + 4097);
+  FrameCache::Deallocate(big, 4097);
+  EXPECT_EQ(mallinfo2().uordblks, before);
+#endif
 }
 
 TEST(RingBufTest, FifoOrderAcrossGrowth) {

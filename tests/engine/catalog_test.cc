@@ -99,10 +99,11 @@ TEST(CatalogTest, ClusteredAccessIsSequentialAndComplete) {
     found += plan.tuples;
     // Index descent pages present.
     EXPECT_GE(plan.index_pages().size(), 1u);
-    // Clustered access is one contiguous range: a single run entry, no
-    // per-page list, and the expanded addresses are physically consecutive.
+    // Clustered access is one contiguous range: the plan's run holds every
+    // data page, there is no per-page list, and the expanded addresses are
+    // physically consecutive.
     EXPECT_TRUE(plan.data_pages().empty());
-    EXPECT_LE(plan.data_runs.size(), 1u);
+    EXPECT_EQ(plan.data_run.count, plan.data_page_count());
     const auto pages = ExpandDataPages(plan);
     for (size_t i = 1; i < pages.size(); ++i) {
       const auto& prev = pages[i - 1];
@@ -159,11 +160,11 @@ TEST(CatalogTest, ScanAccessReadsWholeFragmentSequentially) {
   Fixture f;
   const auto plan = f.catalog->PlanAccess(0, {1, 2000, 2299},
                                           /*sequential_scan=*/true).ValueOrDie();
-  // No index pages; every data page of the fragment as one run entry (the
-  // plan is O(extents), not O(pages)), expanding to physical order.
+  // No index pages; every data page of the fragment as one run (the plan
+  // is O(1), not O(pages)), expanding to physical order.
   EXPECT_TRUE(plan.index_pages().empty());
   EXPECT_TRUE(plan.data_pages().empty());
-  EXPECT_EQ(plan.data_runs.size(), 1u);
+  EXPECT_EQ(plan.data_run.count, f.catalog->store(0).data_pages());
   EXPECT_EQ(plan.data_page_count(), f.catalog->store(0).data_pages());
   const auto pages = ExpandDataPages(plan);
   for (size_t i = 1; i < pages.size(); ++i) {

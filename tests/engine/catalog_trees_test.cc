@@ -76,7 +76,7 @@ void ExpectSamePlan(const Result<AccessPlan>& a, const Result<AccessPlan>& b,
   EXPECT_EQ(a->tuples, b->tuples) << what;
   EXPECT_TRUE(std::ranges::equal(a->index_pages(), b->index_pages())) << what;
   EXPECT_TRUE(std::ranges::equal(a->data_pages(), b->data_pages())) << what;
-  EXPECT_TRUE(a->data_runs == b->data_runs) << what;
+  EXPECT_TRUE(a->data_run == b->data_run) << what;
 }
 
 // Everything a catalog exposes, compared slice by slice: extents and index

@@ -5,7 +5,7 @@
 
 namespace declust::engine {
 
-/// Runs RunSelect at `node` over a plan holding just `page`, with zero
+/// Drives a SelectOp at `node` over a plan holding just `page`, with zero
 /// activation CPU and no qualifying tuples: the select is then exactly one
 /// page access (pool lookup, disk read with its retries and backoff, DMA,
 /// processing).
@@ -16,7 +16,15 @@ inline sim::Task<Status> SelectOnePage(hw::Node* node, hw::PageAddress page,
   AccessPlan plan;
   plan.AddIndexPage(page);
   costs.startup_instructions = 0;
-  co_return co_await RunSelect(node, plan, node->id(), costs, pool, fc, qo);
+  const SelectSite at{node, &plan, &costs, pool, fc, qo, node->id(),
+                      SelectKind::kData};
+  SelectOp op;
+  Status st;
+  op.Start(at);
+  do {
+    st = co_await op.Wait(at);
+  } while (op.Next(at, &st));
+  co_return st;
 }
 
 }  // namespace declust::engine

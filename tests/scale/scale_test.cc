@@ -96,7 +96,7 @@ void ExpectScanPlanMatchesLegacyResolver(const SystemCatalog& catalog,
       catalog.PlanAccess(slice, {1, INT64_MIN, INT64_MAX}, true).ValueOrDie();
   const auto& store = catalog.store(slice);
   ASSERT_TRUE(plan.data_pages().empty()) << "slice " << slice;
-  ASSERT_EQ(plan.data_runs.size(), 1u) << "slice " << slice;
+  ASSERT_EQ(plan.data_run.count, store.data_pages()) << "slice " << slice;
   ASSERT_EQ(plan.data_page_count(), store.data_pages()) << "slice " << slice;
   std::vector<hw::PageAddress> expanded;
   plan.ForEachDataPage([&](hw::PageAddress p) { expanded.push_back(p); });

@@ -298,54 +298,31 @@ TEST(AllocCountTest, ParkedDataSiteCostsAtMostTwoKiB) {
   EXPECT_LE(per_site, 2'048.0) << "heap bytes per parked data site";
 }
 
-TEST(AllocCountTest, ParkedDataSiteCostsAtMost960Bytes) {
-  // The one-word Status, one CPU await per select and the plan held on its
-  // site's frame bring a parked site from 1,365 bytes down below this.
+TEST(AllocCountTest, ParkedDataSiteCostsAtMost520Bytes) {
+  // A parked site is one coroutine frame, its select folded in as a state
+  // object, in an exact 16-byte frame class carved from a chunk (no malloc
+  // header), plus a 48-byte disk request. That measures 475 bytes, against
+  // 881 with a RunSite and a RunSelect frame in 64-byte classes and 72-byte
+  // requests; a second frame per site or the old rounding breaks this.
   const double per_site = ParkedDataSiteHeapBytes();
   EXPECT_GE(per_site, 0.0);
-  EXPECT_LE(per_site, 960.0) << "heap bytes per parked data site";
-}
-
-TEST(AllocCountTest, SerialSweepPeakHeapStaysBelowPerPointTreeBuilds) {
-  // A serial 3-strategy sweep at 100k tuples on 32 processors. When every
-  // point built its own trees and the relation stored all thirteen
-  // Wisconsin attributes, this sweep peaked at kPerPointBuildPeak live heap
-  // bytes over the idle process (GCC 12, glibc malloc_usable_size). Storing
-  // only unique1 and unique2 drops eleven 8-byte columns, so the peak must
-  // now sit at least that far below it (it measures ~17.4 MB). Keeping every
-  // strategy's trees alive at once measured 25.6 MB, and storing the
-  // derived attributes again would give the columns back: both fail here.
-  constexpr int64_t kPerPointBuildPeak = 29'435'856;
-  constexpr int64_t kTuples = 100'000;
-  constexpr int64_t kDerivedColumnBytes = 11 * 8 * kTuples;
-  exp::ExperimentConfig cfg;
-  cfg.strategies = {"range", "BERD", "MAGIC"};
-  cfg.cardinality = kTuples;
-  cfg.correlation = 1.0;
-  cfg.num_processors = 32;
-  cfg.mpls = {1, 8};
-  cfg.warmup_ms = 200;
-  cfg.measure_ms = 500;
-  const int64_t baseline = g_live_bytes.load(std::memory_order_relaxed);
-  g_peak_live_bytes.store(baseline, std::memory_order_relaxed);
-  auto result = exp::RunThroughputSweep(cfg, exp::RunnerOptions{.jobs = 1});
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const int64_t peak =
-      g_peak_live_bytes.load(std::memory_order_relaxed) - baseline;
-  EXPECT_LE(peak, kPerPointBuildPeak - kDerivedColumnBytes)
-      << peak << " peak live heap bytes";
+  EXPECT_LE(per_site, 520.0) << "heap bytes per parked data site";
 }
 
 TEST(AllocCountTest, SerialSweepPeakHeapHoldsOnePerTupleArrayPerStrategy) {
-  // The sweep of SerialSweepPeakHeapStaysBelowPerPointTreeBuilds. When each
-  // partitioning kept its per-node record lists beside its record homes and
-  // MAGIC kept its whole grid file, it peaked at 14,464,120 live heap bytes
-  // (GCC 12, glibc malloc_usable_size). Now each strategy keeps one int per
-  // tuple plus per-node counts, and MAGIC keeps only its linear scales: it
-  // measures 9,326,056. Either copy coming back fails here: the grid file's
-  // bucket store costs 20 B per tuple (2 MB at 100k tuples), and the
-  // per-node lists 4 B per tuple per strategy plus push_back's slack
-  // (1.2 MB and more for three strategies).
+  // A serial 3-strategy sweep at 100k tuples on 32 processors. When every
+  // point built its own trees and the relation stored all thirteen
+  // Wisconsin attributes, it peaked at 29,435,856 live heap bytes over the
+  // idle process (GCC 12, glibc malloc_usable_size); keeping every
+  // strategy's trees alive at once measured 25.6 MB. When each partitioning
+  // kept its per-node record lists beside its record homes and MAGIC kept
+  // its whole grid file, it peaked at 14,464,120. Now each strategy keeps
+  // one int per tuple plus per-node counts, and MAGIC keeps only its linear
+  // scales: it measures 9,196,440. Any of those copies coming back fails
+  // here: the grid file's bucket store costs 20 B per tuple (2 MB at 100k
+  // tuples), the per-node lists 4 B per tuple per strategy plus push_back's
+  // slack (1.2 MB and more for three strategies), and storing the eleven
+  // derived 8-byte attributes again 8.8 MB.
   constexpr int64_t kBound = 10'000'000;
   exp::ExperimentConfig cfg;
   cfg.strategies = {"range", "BERD", "MAGIC"};

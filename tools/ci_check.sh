@@ -23,7 +23,9 @@
 # then a Release build runs a differential smoke: the same quick sweeps —
 # one of them rebuilding a failed disk while slices migrate — serially and
 # with --jobs 4 must produce byte-identical output, the allocation-count
-# tests must pass on the Release frame layout, and the calendar and
+# and frame-cache tests must pass on the Release frame layout and
+# allocator, the audit differential must hold on a plain, an open and an
+# elastic configuration, and the calendar and
 # MAGIC-build micro benchmarks must run once, as must the MAGIC freeze
 # equivalence tests. Before any build, a lint rejects ASCII control bytes
 # other than tab and newline in the tracked files under src/, tests/,
@@ -127,8 +129,8 @@ cmake -S "$ROOT" -B "$SMOKE_DIR" \
   -DDECLUST_BUILD_BENCHMARKS=ON \
   -DDECLUST_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "$SMOKE_DIR" -j"$JOBS" --target run_experiment audit_sweep \
-  scale_test alloc_count_test decluster_test micro_sim_kernel micro_assignment \
-  micro_gridfile micro_btree
+  scale_test alloc_count_test common_test decluster_test micro_sim_kernel \
+  micro_assignment micro_gridfile micro_btree
 SMOKE_ARGS=(--strategies range,hash --mpls 4 --repeats 1 --cardinality 20000
             --processors 8 --warmup 500 --measure 2000)
 # Each variant is its extra arguments, '|'-separated.
@@ -192,6 +194,14 @@ if ! "$SMOKE_DIR/tests/alloc_count_test" --gtest_filter='AllocCountTest.*'; then
   echo "*** relsmoke: AllocCountTest FAILED" >&2
   FAILED=1
 fi
+# Under the sanitizers the FrameCache passes every frame through the heap,
+# so its 16-byte classes and chunk carving are checked here, where the
+# engine uses them.
+echo "=== relsmoke: FrameCacheTest on the Release allocator ==="
+if ! "$SMOKE_DIR/tests/common_test" --gtest_filter='FrameCacheTest.*'; then
+  echo "*** relsmoke: FrameCacheTest FAILED" >&2
+  FAILED=1
+fi
 # The calendar micro cases (tie-heavy, scattered and the real figure-8 and
 # open_skew mixes) must run to completion; their rates are not gated here.
 echo "=== relsmoke: micro_sim_kernel calendar cases run ==="
@@ -231,13 +241,24 @@ if ! "$SMOKE_DIR/bench/micro_btree" --benchmark_min_time=0.01; then
   FAILED=1
 fi
 # audit_sweep's differential harness runs the same config through every
-# variant (jobs=1, jobs=1+audit, jobs=N+audit, inactive fault plan) and
-# compares result digests — the invariant-level form of the check above.
-echo "=== relsmoke: audit_sweep differential ==="
-if ! "$SMOKE_DIR/tools/audit_sweep" "${SMOKE_ARGS[@]}"; then
-  echo "*** relsmoke: audit_sweep differential FAILED" >&2
-  FAILED=1
-fi
+# variant (jobs=1, jobs=1+audit, jobs=N+audit, chained backups, inactive
+# fault plan) and compares result digests — the invariant-level form of the
+# check above. The resize case, 32 processors growing to 36 over a 20 s
+# window, is one where chained backups move the elastic catalog's extents.
+audit_differential() {
+  local label="$1"
+  shift
+  echo "=== relsmoke: audit_sweep differential ($label) ==="
+  if ! "$SMOKE_DIR/tools/audit_sweep" "$@"; then
+    echo "*** relsmoke: audit_sweep differential ($label) FAILED" >&2
+    FAILED=1
+  fi
+}
+audit_differential plain "${SMOKE_ARGS[@]}"
+audit_differential open "${SMOKE_ARGS[@]}" --open "$OPEN_SPEC"
+audit_differential resize --strategies range --mpls 4 --repeats 1 \
+  --cardinality 20000 --warmup 500 --measure 20000 \
+  --resize 'add:node32-35@t=2s;remove:node32-35@t=8s'
 
 # Bad-spec smoke: a malformed plan spec must exit 2 at once, naming its
 # plan on stderr, in both tools (audit_sweep has no --degraded). nan once
