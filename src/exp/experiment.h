@@ -83,15 +83,16 @@ struct ExperimentConfig {
   bool chained_backups = false;
 };
 
-/// \brief One measured sweep point. All metrics are averaged across the
-/// `repeats` replications; the *_ci95 fields carry the 95% confidence
-/// half-width across replications (0 when repeats == 1).
+/// \brief One measured sweep point: one replication, or a point's
+/// replications aggregated by the column table (src/exp/columns.h), which
+/// gives each metric below its CSV name, group and aggregation rule.
 struct SweepPoint {
   /// The sweep level: the multiprogramming level for closed-loop runs, the
   /// index into ExperimentConfig::offered_loads for open-system runs (whose
   /// load itself is in `offered_qps`).
   int mpl = 0;
   double throughput_qps = 0;
+  /// 95% confidence half-width across replications (0 for one replication).
   double throughput_ci95 = 0;
   double mean_response_ms = 0;
   double mean_response_ci95 = 0;
@@ -101,76 +102,73 @@ struct SweepPoint {
   double disk_utilization = 0;
   /// Mean busy fraction of the operator nodes' CPUs over the window.
   double cpu_utilization = 0;
-  /// Completions in the window, averaged (rounded) across replications.
+  /// Completions in the window.
   int64_t completed = 0;
   /// Load imbalance across the surviving disks over the window: max node
   /// busy-time divided by mean node busy-time (1.0 = perfectly even).
   double disk_imbalance = 0;
-  /// Fault-handling counters summed over the window, averaged (rounded)
-  /// across replications. All zero in failure-free runs.
+  /// Fault-handling counters over the window; all zero in failure-free runs.
   int64_t io_errors = 0;
   int64_t retries = 0;
   int64_t timeouts = 0;
   int64_t failovers = 0;
   int64_t failed_queries = 0;
-  /// Mean per-query response-time components (ms), populated only when the
-  /// runner collects them (RunnerOptions::collect_components). `cpu` folds
-  /// in DMA transfers; `queue` folds CPU queueing and retry backoff;
+  /// Mean per-query response-time components (ms); measured only with a
+  /// probe armed (RunnerOptions::collect_components). `cpu` folds in DMA
+  /// transfers; `queue` folds CPU queueing and retry backoff;
   /// `unattributed` is response minus the component sum (negative when
   /// intra-query parallelism makes the buckets overlap).
+  bool has_components = false;
   double comp_disk_wait_ms = 0;
   double comp_disk_service_ms = 0;
   double comp_cpu_ms = 0;
   double comp_network_ms = 0;
   double comp_queue_ms = 0;
   double comp_unattributed_ms = 0;
-  /// Recovery lifecycle columns, populated only for --recovery runs
-  /// (SweepResult::has_recovery). Per-phase throughput / mean response over
-  /// the measurement window, indexed by recover::RecoveryCoordinator::Phase
-  /// (normal, degraded, rebuilding, restored); zero-width phases report 0.
+  /// Recovery lifecycle, measured only under a recovery plan. Per-phase
+  /// throughput / mean response over the measurement window, indexed by
+  /// recover::RecoveryCoordinator::Phase (normal, degraded, rebuilding,
+  /// restored); zero-width phases report 0.
   bool has_recovery = false;
   double phase_qps[4] = {0, 0, 0, 0};
   double phase_resp_ms[4] = {0, 0, 0, 0};
-  /// Phase-boundary timestamps (simulated ms, averaged across reps); -1
-  /// when the boundary was never reached in any replication.
+  /// Phase-boundary timestamps (simulated ms); -1 when the boundary was
+  /// never reached.
   double fail_ms = -1;
   double rebuild_start_ms = -1;
   double restored_ms = -1;
-  /// Rebuild work accounting, averaged (rounded) across replications.
+  /// Rebuild work accounting.
   int64_t rebuild_pages = 0;
   int64_t rebuilds_completed = 0;
   int64_t rebuilds_aborted = 0;
-  /// Elastic-membership columns, populated only for --resize runs
-  /// (SweepResult::has_resize). A plan with K membership events yields
-  /// 2K+1 reporting phases (before/during/after each event); the vectors
-  /// are indexed by phase.
+  /// Elastic membership, measured only under a resize plan. A plan with K
+  /// membership events yields 2K+1 reporting phases (before/during/after
+  /// each event); the vectors are indexed by phase.
   bool has_resize = false;
   std::vector<double> resize_phase_qps;
   std::vector<double> resize_phase_resp_ms;
-  /// Migration accounting, averaged (rounded) across replications.
+  /// Migration accounting.
   int64_t migrations = 0;
   int64_t migrations_aborted = 0;
   int64_t pages_migrated = 0;
   int64_t migration_redirects = 0;
   int64_t rebalance_moves = 0;
-  int final_members = 0;
-  /// Open-system columns, populated only for --open runs
-  /// (SweepResult::has_open). `offered_qps` is the nominal arrival rate of
-  /// this sweep level (the measured rate when the plan's own schedule ran);
-  /// `arrivals` / `shed` count the measurement window, averaged (rounded)
-  /// across replications. `p99_response_ms` is -1 when no replication
-  /// completed a query inside the window (a paused or fully shed system) —
-  /// a well-defined blank, never a fabricated 0 or NaN.
+  int64_t final_members = 0;
+  /// Open system, measured only under an open plan. `offered_qps` is the
+  /// nominal arrival rate of this sweep level (the measured rate when the
+  /// plan's own schedule ran); `arrivals` / `shed` count the measurement
+  /// window. `p99_response_ms` is -1 when no query completed inside the
+  /// window (a paused or fully shed system): a well-defined blank, never a
+  /// fabricated 0 or NaN.
   bool has_open = false;
   double offered_qps = 0;
   int64_t arrivals = 0;
   int64_t shed = 0;
   double p99_response_ms = -1;
-  /// Control-plane columns, populated only for --control runs
-  /// (SweepResult::has_control). Windows/decisions are summed over the
-  /// run and averaged (rounded) across replications; `ctl_peak_concurrent`
-  /// and `ctl_budget_max_delay_ms` take the max across replications (a
-  /// budget breach in any replication must not be averaged away).
+  /// Control plane, measured only under a control plan. Windows and
+  /// decisions count the whole run. Its migration counters reuse the resize
+  /// machinery's accounting but surface under ctl_*, so a control run never
+  /// emits scripted-resize phase columns.
   bool has_control = false;
   int64_t ctl_windows = 0;
   int64_t ctl_slo_violations = 0;  ///< observation windows over the bound
@@ -183,14 +181,13 @@ struct SweepPoint {
   int64_t ctl_shed = 0;  ///< arrivals shed by the controller's cap
   int64_t ctl_migrations = 0;
   int64_t ctl_pages_migrated = 0;
-  int ctl_final_members = 0;
-  int ctl_peak_concurrent = 0;  ///< max concurrently in-flight migrations
+  int64_t ctl_final_members = 0;
+  int64_t ctl_peak_concurrent = 0;  ///< max concurrently in-flight migrations
   int64_t ctl_budget_throttled = 0;  ///< budget reservations that delayed
   double ctl_budget_max_delay_ms = 0;
-  /// One controller actuation of the representative replication (rep 0);
-  /// reports print these as the per-decision timeline. Averaging decision
-  /// times across replications would fabricate timestamps no run produced,
-  /// so the timeline is representative, not aggregated.
+  /// One controller actuation. An aggregated point carries the timeline of
+  /// its representative replication (rep 0): averaging decision times
+  /// across replications would fabricate timestamps no run produced.
   struct ControlDecision {
     std::string kind;        ///< control::DecisionKindName
     double at_ms = 0;        ///< simulated actuation time
@@ -213,8 +210,10 @@ struct StrategyCurve {
 struct SweepResult {
   ExperimentConfig config;
   std::vector<StrategyCurve> curves;
-  /// True when the sweep ran with per-query component probes armed; the
-  /// comp_* columns of every point are meaningful (and reports print them).
+  /// True when the sweep ran with per-query component probes armed. Each
+  /// has_* flag here gates one group of report columns (src/exp/columns.h):
+  /// the group is measured in every point and printed by every report. The
+  /// faults group is gated by a non-empty `config.faults` instead.
   bool has_components = false;
   /// Audit outcome (RunnerOptions::audit): live invariant checks summed
   /// across every replication, plus the cross-strategy result oracle's
@@ -228,19 +227,17 @@ struct SweepResult {
   /// First few violation/mismatch descriptions, prefixed with their origin
   /// replication or "oracle:".
   std::vector<std::string> audit_messages;
-  /// True when the sweep ran with a recovery plan armed; the recovery
-  /// columns of every point are meaningful (and reports print them).
+  /// True when the sweep ran with a recovery plan armed (recovery group).
   bool has_recovery = false;
-  /// True when the sweep ran with an elastic-membership plan armed; the
-  /// resize columns of every point are meaningful (and reports print them).
+  /// True when the sweep ran with an elastic-membership plan armed (resize
+  /// group, including the variable-width rz_phase columns).
   bool has_resize = false;
-  /// True when the sweep ran with an open-system plan armed; the open
-  /// columns of every point are meaningful, reports print offered load in
-  /// place of MPL, and the oracle validates every extra relation too.
+  /// True when the sweep ran with an open-system plan armed (open group);
+  /// reports also label each level by its offered load instead of an MPL,
+  /// and the oracle validates every extra relation too.
   bool has_open = false;
-  /// True when the sweep ran with a closed-loop control plan armed; the
-  /// ctl_* columns of every point are meaningful (and reports print the
-  /// per-decision timeline).
+  /// True when the sweep ran with a closed-loop control plan armed (control
+  /// group); reports also print rep 0's per-decision timeline.
   bool has_control = false;
   /// True when a SIGINT/SIGTERM interrupt stopped the sweep early; only
   /// the sweep points whose replications all completed are present, and

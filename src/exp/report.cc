@@ -4,8 +4,46 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include "src/exp/columns.h"
 
 namespace declust::exp {
+
+namespace {
+
+/// How reports name the sweep level of `p`: "MPL 16" in a closed sweep,
+/// "120.0 q/s offered" in an open one, whose levels are offered loads
+/// (SweepPoint::mpl is then only the level's index).
+std::string LevelLabel(const SweepResult& result, const SweepPoint& p) {
+  if (!result.has_open) return "MPL " + std::to_string(p.mpl);
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(1) << p.offered_qps << " q/s offered";
+  return os.str();
+}
+
+/// Phase name of a recover::RecoveryCoordinator::Phase index.
+const char* RecoveryPhaseName(int phase) {
+  switch (phase) {
+    case 0: return "normal";
+    case 1: return "degraded";
+    case 2: return "rebuilding";
+    case 3: return "restored";
+    default: return "?";
+  }
+}
+
+/// Name of resize reporting phase `phase` out of `total` (2K+1 for K
+/// membership events): even phases are the steady windows, odd phases the
+/// migration windows of each event.
+std::string ResizePhaseName(int phase, int total) {
+  if (phase < 0 || phase >= total) return "?";
+  if (phase % 2 == 0) return "steady" + std::to_string(phase / 2);
+  return "migrate" + std::to_string(phase / 2);
+}
+
+}  // namespace
 
 void PrintThroughputTable(std::ostream& os, const SweepResult& result) {
   os << "== " << result.config.name << " ==\n";
@@ -79,11 +117,10 @@ void PrintThroughputTable(std::ostream& os, const SweepResult& result) {
     for (const auto& curve : result.curves) {
       if (curve.points.empty()) continue;
       const SweepPoint& p = curve.points.back();
-      os << "  " << curve.strategy << " @ " << std::fixed
-         << std::setprecision(1) << p.offered_qps << " q/s offered: arrivals "
-         << p.arrivals << ", shed " << p.shed << ", p99 ";
+      os << "  " << curve.strategy << " @ " << LevelLabel(result, p)
+         << ": arrivals " << p.arrivals << ", shed " << p.shed << ", p99 ";
       if (p.p99_response_ms >= 0) {
-        os << p.p99_response_ms << " ms";
+        os << std::fixed << std::setprecision(1) << p.p99_response_ms << " ms";
       } else {
         os << "-";
       }
@@ -98,7 +135,7 @@ void PrintThroughputTable(std::ostream& os, const SweepResult& result) {
     for (const auto& curve : result.curves) {
       if (curve.points.empty()) continue;
       const SweepPoint& p = curve.points.back();
-      os << "  " << curve.strategy << " @ MPL " << p.mpl
+      os << "  " << curve.strategy << " @ " << LevelLabel(result, p)
          << ": imbalance " << std::fixed << std::setprecision(2)
          << p.disk_imbalance << ", io_errors " << p.io_errors
          << ", retries " << p.retries << ", failovers " << p.failovers
@@ -109,141 +146,30 @@ void PrintThroughputTable(std::ostream& os, const SweepResult& result) {
 }
 
 void PrintCsv(std::ostream& os, const SweepResult& result) {
-  // The fault columns exist only in degraded runs, and the component
-  // columns only when the sweep ran with probes, so the plain failure-free
-  // CSV output stays byte-identical to the pre-fault/pre-obs format.
-  const bool faulty = !result.config.faults.empty();
-  const bool components = result.has_components;
-  const bool recovery = result.has_recovery;
-  const bool rz = result.has_resize;
-  const bool open = result.has_open;
-  const bool ctl = result.has_control;
+  // A group's columns appear only when the sweep measured it, so a run
+  // without faults, probes or plans keeps the plain CSV format.
+  std::vector<const Column*> columns;
+  for (const Column& c : SweepColumns()) {
+    if (Shown(result, c.group)) columns.push_back(&c);
+  }
   // A resize plan with K membership events yields 2K+1 phases; every point
-  // of a sweep shares the plan, so the first point fixes the column count.
+  // of a sweep shares the plan, so the widest point fixes the column count.
   size_t rz_phases = 0;
-  if (rz) {
-    for (const auto& curve : result.curves) {
-      for (const auto& p : curve.points) {
-        rz_phases = std::max(rz_phases, p.resize_phase_qps.size());
-      }
+  for (const auto& curve : result.curves) {
+    for (const auto& p : curve.points) {
+      rz_phases = std::max(rz_phases, p.resize_phase_qps.size());
     }
   }
-  os << "figure,strategy,correlation,mpl,throughput_qps,throughput_ci95,"
-        "mean_response_ms,mean_response_ci95,p95_response_ms,"
-        "avg_processors,disk_utilization,cpu_utilization,completed";
-  if (faulty) {
-    os << ",disk_imbalance,io_errors,retries,timeouts,failovers,"
-          "failed_queries";
-  }
-  if (components) {
-    os << ",disk_wait_ms,disk_service_ms,cpu_ms,network_ms,queue_ms,"
-          "unattributed_ms";
-  }
-  if (recovery) {
-    os << ",fail_ms,rebuild_start_ms,restored_ms,rebuild_pages,"
-          "normal_qps,degraded_qps,rebuilding_qps,restored_qps,"
-          "normal_resp_ms,degraded_resp_ms,rebuilding_resp_ms,"
-          "restored_resp_ms";
-  }
-  if (rz) {
-    os << ",migrations,migrations_aborted,pages_migrated,"
-          "migration_redirects,rebalance_moves,final_members";
-    for (size_t ph = 0; ph < rz_phases; ++ph) {
-      os << ",rz_phase" << ph << "_qps";
-    }
-    for (size_t ph = 0; ph < rz_phases; ++ph) {
-      os << ",rz_phase" << ph << "_resp_ms";
-    }
-  }
-  if (open) {
-    os << ",offered_qps,arrivals,shed,p99_response_ms";
-  }
-  if (ctl) {
-    os << ",ctl_windows,ctl_slo_violations,ctl_scale_outs,ctl_scale_ins,"
-          "ctl_pauses,ctl_resumes,ctl_tightens,ctl_relaxes,ctl_shed,"
-          "ctl_migrations,ctl_pages_migrated,ctl_final_members,"
-          "ctl_peak_concurrent,ctl_budget_throttled,ctl_budget_max_delay_ms";
-  }
+  os << "figure,strategy,correlation,mpl";
+  for (const Column* c : columns) WriteCsvNames(os, *c, rz_phases);
   os << "\n";
   for (const auto& curve : result.curves) {
     for (const auto& p : curve.points) {
       os << result.config.name << "," << curve.strategy << ","
-         << result.config.correlation << "," << p.mpl << ","
-         << p.throughput_qps << "," << p.throughput_ci95 << ","
-         << p.mean_response_ms << "," << p.mean_response_ci95 << ","
-         << p.p95_response_ms << ","
-         << p.avg_processors_used << ","
-         << p.disk_utilization << "," << p.cpu_utilization << ","
-         << p.completed;
-      if (faulty) {
-        os << "," << p.disk_imbalance << "," << p.io_errors << ","
-           << p.retries << "," << p.timeouts << "," << p.failovers << ","
-           << p.failed_queries;
-      }
-      if (components) {
-        os << "," << p.comp_disk_wait_ms << "," << p.comp_disk_service_ms
-           << "," << p.comp_cpu_ms << "," << p.comp_network_ms << ","
-           << p.comp_queue_ms << "," << p.comp_unattributed_ms;
-      }
-      if (recovery) {
-        os << "," << p.fail_ms << "," << p.rebuild_start_ms << ","
-           << p.restored_ms << "," << p.rebuild_pages;
-        for (int ph = 0; ph < 4; ++ph) os << "," << p.phase_qps[ph];
-        for (int ph = 0; ph < 4; ++ph) os << "," << p.phase_resp_ms[ph];
-      }
-      if (rz) {
-        os << "," << p.migrations << "," << p.migrations_aborted << ","
-           << p.pages_migrated << "," << p.migration_redirects << ","
-           << p.rebalance_moves << "," << p.final_members;
-        for (size_t ph = 0; ph < rz_phases; ++ph) {
-          os << "," << (ph < p.resize_phase_qps.size()
-                            ? p.resize_phase_qps[ph] : 0.0);
-        }
-        for (size_t ph = 0; ph < rz_phases; ++ph) {
-          os << "," << (ph < p.resize_phase_resp_ms.size()
-                            ? p.resize_phase_resp_ms[ph] : 0.0);
-        }
-      }
-      if (open) {
-        os << "," << p.offered_qps << "," << p.arrivals << "," << p.shed
-           << ",";
-        // An idle window has no p99: emit a well-defined blank field, never
-        // the -1 sentinel or a fabricated quantile.
-        if (p.p99_response_ms >= 0) os << p.p99_response_ms;
-      }
-      if (ctl) {
-        os << "," << p.ctl_windows << "," << p.ctl_slo_violations << ","
-           << p.ctl_scale_outs << "," << p.ctl_scale_ins << ","
-           << p.ctl_pauses << "," << p.ctl_resumes << ","
-           << p.ctl_tightens << "," << p.ctl_relaxes << ","
-           << p.ctl_shed << "," << p.ctl_migrations << ","
-           << p.ctl_pages_migrated << "," << p.ctl_final_members << ","
-           << p.ctl_peak_concurrent << "," << p.ctl_budget_throttled << ","
-           << p.ctl_budget_max_delay_ms;
-      }
+         << result.config.correlation << "," << p.mpl;
+      for (const Column* c : columns) WriteCsvValues(os, *c, p, rz_phases);
       os << "\n";
     }
-  }
-}
-
-void PrintGnuplotData(std::ostream& os, const SweepResult& result) {
-  os << "# " << result.config.name << " (correlation "
-     << result.config.correlation << ")\n";
-  // Open sweeps plot against offered load; closed sweeps against MPL.
-  os << "# columns: " << (result.has_open ? "offered_qps" : "mpl")
-     << " throughput_qps ci95 mean_response_ms p95_ms\n";
-  for (const auto& curve : result.curves) {
-    os << "# strategy: " << curve.strategy << "\n";
-    for (const auto& p : curve.points) {
-      if (result.has_open) {
-        os << p.offered_qps;
-      } else {
-        os << p.mpl;
-      }
-      os << " " << p.throughput_qps << " " << p.throughput_ci95
-         << " " << p.mean_response_ms << " " << p.p95_response_ms << "\n";
-    }
-    os << "\n\n";
   }
 }
 
@@ -261,11 +187,103 @@ std::string RatioSummary(const SweepResult& result, const std::string& a,
     os << a << "/" << b << " ratio unavailable";
     return os.str();
   }
-  os << std::fixed << std::setprecision(2);
-  os << a << "/" << b << " throughput ratio at MPL "
-     << ca->points.back().mpl << ": "
+  os << a << "/" << b << " throughput ratio at "
+     << LevelLabel(result, ca->points.back()) << ": " << std::fixed
+     << std::setprecision(2)
      << ca->points.back().throughput_qps / cb->points.back().throughput_qps;
   return os.str();
+}
+
+void PrintRecoveryReport(std::ostream& os, const SweepResult& result) {
+  if (!result.has_recovery) return;
+  os << "recovery: " << result.config.recovery << "\n";
+  const auto print_ms = [&os](double v) {
+    if (v < 0) {
+      os << "never";
+    } else {
+      os << std::fixed << std::setprecision(1) << v << "ms";
+    }
+  };
+  for (const auto& curve : result.curves) {
+    for (const auto& p : curve.points) {
+      os << "  " << curve.strategy << " @ " << LevelLabel(result, p)
+         << ": fail ";
+      print_ms(p.fail_ms);
+      os << ", rebuild start ";
+      print_ms(p.rebuild_start_ms);
+      os << ", restored ";
+      print_ms(p.restored_ms);
+      os << ", pages " << p.rebuild_pages << ", rebuilds "
+         << p.rebuilds_completed << " ok / " << p.rebuilds_aborted
+         << " aborted\n";
+      for (int ph = 0; ph < 4; ++ph) {
+        os << "    " << std::setw(10) << RecoveryPhaseName(ph) << ": "
+           << std::fixed << std::setprecision(1) << std::setw(8)
+           << p.phase_qps[ph] << " q/s, " << std::setw(8)
+           << p.phase_resp_ms[ph] << " ms mean response\n";
+      }
+    }
+  }
+}
+
+void PrintResizeReport(std::ostream& os, const SweepResult& result) {
+  if (!result.has_resize) return;
+  os << "resize: " << result.config.resize << "\n";
+  for (const auto& curve : result.curves) {
+    for (const auto& p : curve.points) {
+      os << "  " << curve.strategy << " @ " << LevelLabel(result, p) << ": "
+         << p.migrations << " migrations (" << p.migrations_aborted
+         << " aborted), " << p.pages_migrated << " pages, "
+         << p.migration_redirects << " redirects, " << p.rebalance_moves
+         << " rebalance moves, " << p.final_members << " final members\n";
+      const int total = static_cast<int>(p.resize_phase_qps.size());
+      for (int ph = 0; ph < total; ++ph) {
+        os << "    " << std::setw(10) << ResizePhaseName(ph, total) << ": "
+           << std::fixed << std::setprecision(1) << std::setw(8)
+           << p.resize_phase_qps[static_cast<size_t>(ph)] << " q/s, "
+           << std::setw(8)
+           << p.resize_phase_resp_ms[static_cast<size_t>(ph)]
+           << " ms mean response\n";
+      }
+    }
+  }
+}
+
+void PrintControlReport(std::ostream& os, const SweepResult& result) {
+  if (!result.has_control) return;
+  os << "control: " << result.config.control << "\n";
+  for (const auto& curve : result.curves) {
+    for (const auto& p : curve.points) {
+      os << "  " << curve.strategy << " @ " << LevelLabel(result, p) << ": "
+         << p.ctl_windows << " windows (" << p.ctl_slo_violations
+         << " over SLO), scale +" << p.ctl_scale_outs << "/-"
+         << p.ctl_scale_ins << " to " << p.ctl_final_members
+         << " members, pause/resume " << p.ctl_pauses << "/"
+         << p.ctl_resumes << ", cap -" << p.ctl_tightens << "/+"
+         << p.ctl_relaxes << " (" << p.ctl_shed
+         << " controller sheds), " << p.ctl_migrations
+         << " migrations / " << p.ctl_pages_migrated << " pages (peak "
+         << p.ctl_peak_concurrent << " concurrent, "
+         << p.ctl_budget_throttled << " budget-throttled, max budget delay "
+         << std::fixed << std::setprecision(1) << p.ctl_budget_max_delay_ms
+         << " ms)\n";
+      // Decisions carry rep 0's timeline (see SweepPoint::ctl_decisions):
+      // every actuation in simulated-time order with the observation that
+      // triggered it and the state it left behind.
+      for (const auto& d : p.ctl_decisions) {
+        os << "    " << std::fixed << std::setprecision(0) << std::setw(8)
+           << d.at_ms << " ms  " << std::setw(10) << std::left << d.kind
+           << std::right << " observed " << std::fixed
+           << std::setprecision(1) << std::setw(8) << d.observed_ms
+           << " ms -> " << d.members << " members";
+        if (d.cap >= 0) os << ", cap " << d.cap;
+        os << "\n";
+      }
+      if (p.ctl_decisions.empty()) {
+        os << "    (no actuations: the SLO held without intervention)\n";
+      }
+    }
+  }
 }
 
 }  // namespace declust::exp

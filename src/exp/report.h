@@ -1,5 +1,7 @@
-// Plain-text reporting of sweep results in the shape of the paper's
-// figures (throughput vs multiprogramming level, one column per strategy).
+// Reporting of sweep results: the figure-style throughput table and the
+// CSV, plus one block per armed plan (recovery, resize, control). A plan's
+// block prints only when the sweep ran with that plan, so reports of runs
+// without it keep their exact earlier format.
 #pragma once
 
 #include <iosfwd>
@@ -13,18 +15,23 @@ namespace declust::exp {
 /// strategy, plus per-strategy notes (grid shape, avg processors).
 void PrintThroughputTable(std::ostream& os, const SweepResult& result);
 
-/// Prints the same data as CSV (figure, strategy, mpl, qps, response_ms,
-/// processors).
+/// Prints every point as a CSV row: figure, strategy, correlation and MPL,
+/// then each column of the table in src/exp/columns.h whose group the sweep
+/// measured.
 void PrintCsv(std::ostream& os, const SweepResult& result);
 
-/// One-line comparison of two strategies at the highest MPL, e.g.
+/// Print one armed plan's block, per strategy and level (no-op when the
+/// sweep ran without the plan): recovery's phase boundaries, rebuild counts
+/// and per-phase throughput / response; resize's migration counts and
+/// per-phase throughput / response; the controller's counts and rep 0's
+/// decision timeline.
+void PrintRecoveryReport(std::ostream& os, const SweepResult& result);
+void PrintResizeReport(std::ostream& os, const SweepResult& result);
+void PrintControlReport(std::ostream& os, const SweepResult& result);
+
+/// One-line comparison of two strategies at the highest level, e.g.
 /// "MAGIC/BERD throughput ratio at MPL 64: 1.45".
 std::string RatioSummary(const SweepResult& result, const std::string& a,
                          const std::string& b);
-
-/// Gnuplot-ready data blocks (one block per strategy, blank-line
-/// separated; columns: mpl, throughput, ci95, mean_response, p95). Plot
-/// with `plot 'file' index 0 using 1:2 with linespoints title 'range', ...`.
-void PrintGnuplotData(std::ostream& os, const SweepResult& result);
 
 }  // namespace declust::exp

@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,10 +20,10 @@
 
 #include "src/audit/oracle.h"
 #include "src/common/atomic_file.h"
-#include "src/common/stats.h"
 #include "src/common/thread_pool.h"
 #include "src/control/controller.h"
 #include "src/control/plan.h"
+#include "src/exp/columns.h"
 #include "src/exp/interrupt.h"
 #include "src/obs/manifest.h"
 #include "src/obs/trace.h"
@@ -49,7 +50,7 @@ std::pair<double, double> PhaseRates(const recover::PhaseWindow& w) {
 
 }  // namespace
 
-Result<RepMetrics> RunSweepPointRep(
+Result<SweepPoint> RunSweepPointRep(
     const ExperimentConfig& config, const storage::Relation& relation,
     const decluster::Partitioning& partitioning,
     const workload::Workload& workload,
@@ -206,7 +207,8 @@ Result<RepMetrics> RunSweepPointRep(
   const double node_window = config.measure_ms * physical_nodes;
   const double disk_busy_mean = disk_busy_sum / physical_nodes;
 
-  RepMetrics m;
+  SweepPoint m;
+  m.mpl = mpl;
   m.throughput_qps = system.metrics().ThroughputQps(sim.now());
   m.mean_response_ms = system.metrics().response_ms().mean();
   m.p95_response_ms = system.metrics().ResponseQuantileMs(0.95);
@@ -332,204 +334,14 @@ Result<RepMetrics> RunSweepPointRep(
 
 namespace {
 
-/// Averages the replications of one sweep point in rep order (fixed
-/// summation order keeps the floating-point result identical for any job
-/// count).
-SweepPoint AggregatePoint(int mpl, const RepMetrics* reps, int num_reps) {
-  Accumulator qps, mean_resp, p95, procs, disk, cpu, completed;
-  Accumulator imbalance, io_errors, retries, timeouts, failovers, failed;
-  Accumulator c_dwait, c_dserv, c_cpu, c_net, c_queue, c_unattr;
-  Accumulator ph_qps[4], ph_resp[4];
-  // Boundary timestamps average only the replications that reached them
-  // (-1 sentinels would poison the mean).
-  Accumulator fail_t, rb_start_t, restored_t;
-  Accumulator rb_pages, rb_done, rb_abort;
-  // Element-wise per-phase accumulators, sized on first use (every rep of a
-  // point runs the same plan, so the phase counts agree).
-  std::vector<Accumulator> rz_qps, rz_resp;
-  Accumulator rz_migrations, rz_aborts, rz_pages, rz_redirects, rz_moves;
-  Accumulator rz_members;
-  // Open-system columns: p99 averages only the replications whose window
-  // completed queries (-1 sentinels would poison the mean, exactly like the
-  // recovery boundary timestamps above).
-  Accumulator op_offered, op_arrivals, op_shed, op_p99;
-  // Controller columns: counters average like every other count; the
-  // concurrency peak and worst budget delay take the MAX across reps (a
-  // mean would understate the bound the acceptance criteria pin).
-  Accumulator ct_windows, ct_viol, ct_outs, ct_ins, ct_pauses, ct_resumes;
-  Accumulator ct_tightens, ct_relaxes, ct_shed, ct_migrations, ct_pages;
-  Accumulator ct_members, ct_throttled;
-  int ct_peak = 0;
-  double ct_max_delay = 0;
-  bool has_components = false;
-  bool has_recovery = false;
-  bool has_resize = false;
-  bool has_open = false;
-  bool has_control = false;
-  for (int r = 0; r < num_reps; ++r) {
-    qps.Add(reps[r].throughput_qps);
-    mean_resp.Add(reps[r].mean_response_ms);
-    p95.Add(reps[r].p95_response_ms);
-    procs.Add(reps[r].avg_processors_used);
-    disk.Add(reps[r].disk_utilization);
-    cpu.Add(reps[r].cpu_utilization);
-    completed.Add(static_cast<double>(reps[r].completed));
-    imbalance.Add(reps[r].disk_imbalance);
-    io_errors.Add(static_cast<double>(reps[r].io_errors));
-    retries.Add(static_cast<double>(reps[r].retries));
-    timeouts.Add(static_cast<double>(reps[r].timeouts));
-    failovers.Add(static_cast<double>(reps[r].failovers));
-    failed.Add(static_cast<double>(reps[r].failed_queries));
-    if (reps[r].has_components) {
-      has_components = true;
-      c_dwait.Add(reps[r].comp_disk_wait_ms);
-      c_dserv.Add(reps[r].comp_disk_service_ms);
-      c_cpu.Add(reps[r].comp_cpu_ms);
-      c_net.Add(reps[r].comp_network_ms);
-      c_queue.Add(reps[r].comp_queue_ms);
-      c_unattr.Add(reps[r].comp_unattributed_ms);
-    }
-    if (reps[r].has_recovery) {
-      has_recovery = true;
-      for (int p = 0; p < 4; ++p) {
-        ph_qps[p].Add(reps[r].phase_qps[p]);
-        ph_resp[p].Add(reps[r].phase_resp_ms[p]);
-      }
-      if (reps[r].fail_ms >= 0) fail_t.Add(reps[r].fail_ms);
-      if (reps[r].rebuild_start_ms >= 0) {
-        rb_start_t.Add(reps[r].rebuild_start_ms);
-      }
-      if (reps[r].restored_ms >= 0) restored_t.Add(reps[r].restored_ms);
-      rb_pages.Add(static_cast<double>(reps[r].rebuild_pages));
-      rb_done.Add(static_cast<double>(reps[r].rebuilds_completed));
-      rb_abort.Add(static_cast<double>(reps[r].rebuilds_aborted));
-    }
-    if (reps[r].has_resize) {
-      has_resize = true;
-      if (rz_qps.size() < reps[r].resize_phase_qps.size()) {
-        rz_qps.resize(reps[r].resize_phase_qps.size());
-        rz_resp.resize(reps[r].resize_phase_qps.size());
-      }
-      for (size_t p = 0; p < reps[r].resize_phase_qps.size(); ++p) {
-        rz_qps[p].Add(reps[r].resize_phase_qps[p]);
-        rz_resp[p].Add(reps[r].resize_phase_resp_ms[p]);
-      }
-      rz_migrations.Add(static_cast<double>(reps[r].migrations));
-      rz_aborts.Add(static_cast<double>(reps[r].migrations_aborted));
-      rz_pages.Add(static_cast<double>(reps[r].pages_migrated));
-      rz_redirects.Add(static_cast<double>(reps[r].migration_redirects));
-      rz_moves.Add(static_cast<double>(reps[r].rebalance_moves));
-      rz_members.Add(static_cast<double>(reps[r].final_members));
-    }
-    if (reps[r].has_open) {
-      has_open = true;
-      op_offered.Add(reps[r].offered_qps);
-      op_arrivals.Add(static_cast<double>(reps[r].arrivals));
-      op_shed.Add(static_cast<double>(reps[r].shed));
-      if (reps[r].p99_response_ms >= 0) {
-        op_p99.Add(reps[r].p99_response_ms);
-      }
-    }
-    if (reps[r].has_control) {
-      has_control = true;
-      ct_windows.Add(static_cast<double>(reps[r].ctl_windows));
-      ct_viol.Add(static_cast<double>(reps[r].ctl_slo_violations));
-      ct_outs.Add(static_cast<double>(reps[r].ctl_scale_outs));
-      ct_ins.Add(static_cast<double>(reps[r].ctl_scale_ins));
-      ct_pauses.Add(static_cast<double>(reps[r].ctl_pauses));
-      ct_resumes.Add(static_cast<double>(reps[r].ctl_resumes));
-      ct_tightens.Add(static_cast<double>(reps[r].ctl_tightens));
-      ct_relaxes.Add(static_cast<double>(reps[r].ctl_relaxes));
-      ct_shed.Add(static_cast<double>(reps[r].ctl_shed));
-      ct_migrations.Add(static_cast<double>(reps[r].ctl_migrations));
-      ct_pages.Add(static_cast<double>(reps[r].ctl_pages_migrated));
-      ct_members.Add(static_cast<double>(reps[r].ctl_final_members));
-      ct_throttled.Add(static_cast<double>(reps[r].ctl_budget_throttled));
-      ct_peak = std::max(ct_peak, reps[r].ctl_peak_concurrent);
-      ct_max_delay = std::max(ct_max_delay, reps[r].ctl_budget_max_delay_ms);
-    }
-  }
-  SweepPoint point;
+/// Aggregates the replications of one sweep point, column by column. The
+/// point starts as rep 0 for the group flags all reps share and for rep 0's
+/// control decision timeline (SweepPoint::ctl_decisions).
+SweepPoint AggregatePoint(int mpl, const SweepPoint* reps, int num_reps) {
+  const std::span<const SweepPoint> all(reps, static_cast<size_t>(num_reps));
+  SweepPoint point = reps[0];
   point.mpl = mpl;
-  point.throughput_qps = qps.mean();
-  point.throughput_ci95 = qps.ConfidenceHalfWidth95();
-  point.mean_response_ms = mean_resp.mean();
-  point.mean_response_ci95 = mean_resp.ConfidenceHalfWidth95();
-  point.p95_response_ms = p95.mean();
-  point.avg_processors_used = procs.mean();
-  point.disk_utilization = disk.mean();
-  point.cpu_utilization = cpu.mean();
-  point.completed = std::llround(completed.mean());
-  point.disk_imbalance = imbalance.mean();
-  point.io_errors = std::llround(io_errors.mean());
-  point.retries = std::llround(retries.mean());
-  point.timeouts = std::llround(timeouts.mean());
-  point.failovers = std::llround(failovers.mean());
-  point.failed_queries = std::llround(failed.mean());
-  if (has_components) {
-    point.comp_disk_wait_ms = c_dwait.mean();
-    point.comp_disk_service_ms = c_dserv.mean();
-    point.comp_cpu_ms = c_cpu.mean();
-    point.comp_network_ms = c_net.mean();
-    point.comp_queue_ms = c_queue.mean();
-    point.comp_unattributed_ms = c_unattr.mean();
-  }
-  if (has_recovery) {
-    point.has_recovery = true;
-    for (int p = 0; p < 4; ++p) {
-      point.phase_qps[p] = ph_qps[p].mean();
-      point.phase_resp_ms[p] = ph_resp[p].mean();
-    }
-    point.fail_ms = fail_t.count() > 0 ? fail_t.mean() : -1;
-    point.rebuild_start_ms = rb_start_t.count() > 0 ? rb_start_t.mean() : -1;
-    point.restored_ms = restored_t.count() > 0 ? restored_t.mean() : -1;
-    point.rebuild_pages = std::llround(rb_pages.mean());
-    point.rebuilds_completed = std::llround(rb_done.mean());
-    point.rebuilds_aborted = std::llround(rb_abort.mean());
-  }
-  if (has_resize) {
-    point.has_resize = true;
-    point.resize_phase_qps.resize(rz_qps.size(), 0.0);
-    point.resize_phase_resp_ms.resize(rz_qps.size(), 0.0);
-    for (size_t p = 0; p < rz_qps.size(); ++p) {
-      point.resize_phase_qps[p] = rz_qps[p].mean();
-      point.resize_phase_resp_ms[p] = rz_resp[p].mean();
-    }
-    point.migrations = std::llround(rz_migrations.mean());
-    point.migrations_aborted = std::llround(rz_aborts.mean());
-    point.pages_migrated = std::llround(rz_pages.mean());
-    point.migration_redirects = std::llround(rz_redirects.mean());
-    point.rebalance_moves = std::llround(rz_moves.mean());
-    point.final_members = static_cast<int>(std::llround(rz_members.mean()));
-  }
-  if (has_open) {
-    point.has_open = true;
-    point.offered_qps = op_offered.mean();
-    point.arrivals = std::llround(op_arrivals.mean());
-    point.shed = std::llround(op_shed.mean());
-    point.p99_response_ms = op_p99.empty() ? -1 : op_p99.mean();
-  }
-  if (has_control) {
-    point.has_control = true;
-    point.ctl_windows = std::llround(ct_windows.mean());
-    point.ctl_slo_violations = std::llround(ct_viol.mean());
-    point.ctl_scale_outs = std::llround(ct_outs.mean());
-    point.ctl_scale_ins = std::llround(ct_ins.mean());
-    point.ctl_pauses = std::llround(ct_pauses.mean());
-    point.ctl_resumes = std::llround(ct_resumes.mean());
-    point.ctl_tightens = std::llround(ct_tightens.mean());
-    point.ctl_relaxes = std::llround(ct_relaxes.mean());
-    point.ctl_shed = std::llround(ct_shed.mean());
-    point.ctl_migrations = std::llround(ct_migrations.mean());
-    point.ctl_pages_migrated = std::llround(ct_pages.mean());
-    point.ctl_final_members = static_cast<int>(std::llround(ct_members.mean()));
-    point.ctl_peak_concurrent = ct_peak;
-    point.ctl_budget_throttled = std::llround(ct_throttled.mean());
-    point.ctl_budget_max_delay_ms = ct_max_delay;
-    // The timeline is rep 0's, not an aggregate: averaging decision times
-    // across replications would fabricate timestamps no run produced.
-    point.ctl_decisions = reps[0].ctl_decisions;
-  }
+  for (const Column& c : SweepColumns()) AggregateColumn(c, all, &point);
   return point;
 }
 
@@ -579,7 +391,8 @@ std::string PointDigestKey(const std::string& strategy, const SweepPoint& p) {
                   static_cast<long long>(p.migrations_aborted),
                   static_cast<long long>(p.pages_migrated),
                   static_cast<long long>(p.migration_redirects),
-                  static_cast<long long>(p.rebalance_moves), p.final_members);
+                  static_cast<long long>(p.rebalance_moves),
+                  static_cast<int>(p.final_members));
     key += zbuf;
     for (size_t i = 0; i < p.resize_phase_qps.size(); ++i) {
       std::snprintf(zbuf, sizeof(zbuf), "|z%zu=%.17g/%.17g", i,
@@ -615,7 +428,8 @@ std::string PointDigestKey(const std::string& strategy, const SweepPoint& p) {
                   static_cast<long long>(p.ctl_shed),
                   static_cast<long long>(p.ctl_migrations),
                   static_cast<long long>(p.ctl_pages_migrated),
-                  p.ctl_final_members, p.ctl_peak_concurrent,
+                  static_cast<int>(p.ctl_final_members),
+                  static_cast<int>(p.ctl_peak_concurrent),
                   static_cast<long long>(p.ctl_budget_throttled),
                   p.ctl_budget_max_delay_ms);
     key += cbuf;
@@ -848,7 +662,7 @@ Result<SweepResult> RunThroughputSweep(const ExperimentConfig& raw_config,
   const int reps = std::max(1, config.repeats);
   const size_t num_jobs =
       num_strategies * num_mpls * static_cast<size_t>(reps);
-  std::vector<RepMetrics> rep_metrics(num_jobs);
+  std::vector<SweepPoint> rep_metrics(num_jobs);
   std::vector<Status> rep_status(num_jobs, Status::OK());
   // Set (by the owning worker only) when a pending interrupt made the job
   // exit without simulating; the point it belongs to is dropped at assembly.

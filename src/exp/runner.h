@@ -32,9 +32,10 @@ struct RunnerOptions {
   /// warns; it never kills work or changes results.
   double watchdog_warn_s = 0;
   /// Arm a per-replication cost probe (no tracer) so every sweep point
-  /// carries a per-query component breakdown (SweepPoint::comp_*). Off by
-  /// default: the probe-free path does zero observability work and its
-  /// report output stays byte-identical.
+  /// measures the components column group (SweepPoint::comp_*, gated by
+  /// SweepPoint/SweepResult::has_components). Off by default: the
+  /// probe-free path does zero observability work and its report output
+  /// stays byte-identical.
   bool collect_components = false;
   /// When non-empty, RunThroughputSweep writes a run manifest (build id,
   /// seed, parameters, fault spec, per-point metric digests) to this path.
@@ -49,83 +50,9 @@ struct RunnerOptions {
   bool audit = false;
 };
 
-/// \brief Raw measurements of one (strategy, MPL, replication) simulation.
-struct RepMetrics {
-  double throughput_qps = 0;
-  double mean_response_ms = 0;
-  double p95_response_ms = 0;
-  double avg_processors_used = 0;
-  double disk_utilization = 0;
-  double cpu_utilization = 0;
-  int64_t completed = 0;
-  double disk_imbalance = 0;
-  int64_t io_errors = 0;
-  int64_t retries = 0;
-  int64_t timeouts = 0;
-  int64_t failovers = 0;
-  int64_t failed_queries = 0;
-  /// Mean per-query response components (ms); meaningful only when the rep
-  /// ran with a probe (has_components).
-  bool has_components = false;
-  double comp_disk_wait_ms = 0;
-  double comp_disk_service_ms = 0;
-  double comp_cpu_ms = 0;
-  double comp_network_ms = 0;
-  double comp_queue_ms = 0;
-  double comp_unattributed_ms = 0;
-  /// Recovery lifecycle measurements; meaningful only when the rep ran with
-  /// a recovery plan armed (has_recovery). Phase indices follow
-  /// recover::RecoveryCoordinator::Phase; timestamps are -1 if unreached.
-  bool has_recovery = false;
-  double phase_qps[4] = {0, 0, 0, 0};
-  double phase_resp_ms[4] = {0, 0, 0, 0};
-  double fail_ms = -1;
-  double rebuild_start_ms = -1;
-  double restored_ms = -1;
-  int64_t rebuild_pages = 0;
-  int64_t rebuilds_completed = 0;
-  int64_t rebuilds_aborted = 0;
-  /// Elastic-membership measurements; meaningful only when the rep ran with
-  /// a resize plan armed (has_resize). 2K+1 phases for K membership events.
-  bool has_resize = false;
-  std::vector<double> resize_phase_qps;
-  std::vector<double> resize_phase_resp_ms;
-  int64_t migrations = 0;
-  int64_t migrations_aborted = 0;
-  int64_t pages_migrated = 0;
-  int64_t migration_redirects = 0;
-  int64_t rebalance_moves = 0;
-  int final_members = 0;
-  /// Open-system measurements; meaningful only when the rep ran with an
-  /// open plan armed (has_open). p99 is -1 when the window completed no
-  /// queries (a well-defined blank, not a fabricated quantile).
-  bool has_open = false;
-  double offered_qps = 0;
-  int64_t arrivals = 0;
-  int64_t shed = 0;
-  double p99_response_ms = -1;
-  /// Closed-loop controller measurements; meaningful only when the rep ran
-  /// with a control plan armed (has_control). Migration counters reuse the
-  /// resize machinery's accounting but surface under ctl_* so a control run
-  /// never emits scripted-resize phase columns.
-  bool has_control = false;
-  int64_t ctl_windows = 0;
-  int64_t ctl_slo_violations = 0;
-  int64_t ctl_scale_outs = 0;
-  int64_t ctl_scale_ins = 0;
-  int64_t ctl_pauses = 0;
-  int64_t ctl_resumes = 0;
-  int64_t ctl_tightens = 0;
-  int64_t ctl_relaxes = 0;
-  int64_t ctl_shed = 0;
-  int64_t ctl_migrations = 0;
-  int64_t ctl_pages_migrated = 0;
-  int ctl_final_members = 0;
-  int ctl_peak_concurrent = 0;
-  int64_t ctl_budget_throttled = 0;
-  double ctl_budget_max_delay_ms = 0;
-  std::vector<SweepPoint::ControlDecision> ctl_decisions;
-};
+/// One (strategy, MPL, replication) simulation's measurements: a SweepPoint,
+/// named for callers that keep per-replication records.
+using RepMetrics = SweepPoint;
 
 /// Runs one replication of one sweep point. Pure function of
 /// (config, relation, partitioning, workload, mpl, rep); never touches
@@ -150,7 +77,7 @@ struct RepMetrics {
 /// identities are finalized before the function returns.
 /// `trees` (nullable) is the partitioning's prebuilt index-tree set, shared
 /// read-only with the strategy's other points; null builds it per call.
-Result<RepMetrics> RunSweepPointRep(
+Result<SweepPoint> RunSweepPointRep(
     const ExperimentConfig& config, const storage::Relation& relation,
     const decluster::Partitioning& partitioning,
     const workload::Workload& workload,

@@ -17,8 +17,36 @@
 
 #include "src/common/ring_buf.h"
 
+#if defined(__SANITIZE_THREAD__)
+#define DECLUST_TSAN_ACTIVE 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define DECLUST_TSAN_ACTIVE 1
+#endif
+#endif
+#ifdef DECLUST_TSAN_ACTIVE
+#if __has_include(<sanitizer/allocator_interface.h>)
+#include <sanitizer/allocator_interface.h>
+#else
+// GCC 12 ships the sanitizer runtimes' allocator interface but not its
+// header; the declaration is the one that header makes.
+extern "C" size_t __sanitizer_get_current_allocated_bytes();
+#endif
+#endif
+
 namespace declust {
 namespace {
+
+/// Bytes the process heap holds allocated. ThreadSanitizer replaces malloc
+/// with its own allocator, whose blocks glibc's mallinfo2() never sees, so
+/// a TSAN build asks that allocator instead.
+size_t HeapBytes() {
+#ifdef DECLUST_TSAN_ACTIVE
+  return __sanitizer_get_current_allocated_bytes();
+#else
+  return mallinfo2().uordblks;
+#endif
+}
 
 TEST(ArenaTest, AllocationsAreDisjointAndAligned) {
   Arena a;
@@ -217,18 +245,18 @@ TEST(FrameCacheTest, RequestAboveFourKiBGoesToTheHeap) {
 #ifdef DECLUST_ASAN_ACTIVE
   GTEST_SKIP() << "FrameCache passes through the heap under ASan by design";
 #else
-  // Warm the 4 KiB class, then watch glibc's allocated-bytes count: a
+  // Warm the 4 KiB class, then watch the heap's allocated-bytes count: a
   // cached size reuses its block, one byte more is a heap block of its own.
   FrameCache::Deallocate(FrameCache::Allocate(4096), 4096);
-  const size_t before = mallinfo2().uordblks;
+  const size_t before = HeapBytes();
   void* cached = FrameCache::Allocate(4096);
-  EXPECT_EQ(mallinfo2().uordblks, before);
+  EXPECT_EQ(HeapBytes(), before);
   FrameCache::Deallocate(cached, 4096);
   void* big = FrameCache::Allocate(4097);
   std::memset(big, 0, 4097);
-  EXPECT_GE(mallinfo2().uordblks, before + 4097);
+  EXPECT_GE(HeapBytes(), before + 4097);
   FrameCache::Deallocate(big, 4097);
-  EXPECT_EQ(mallinfo2().uordblks, before);
+  EXPECT_EQ(HeapBytes(), before);
 #endif
 }
 

@@ -101,27 +101,6 @@ TEST(ReportTest, CsvHasHeaderAndRows) {
   EXPECT_EQ(lines, 7);
 }
 
-TEST(ReportTest, GnuplotDataHasOneBlockPerStrategy) {
-  auto result = RunThroughputSweep(TinyConfig());
-  ASSERT_TRUE(result.ok());
-  std::ostringstream os;
-  PrintGnuplotData(os, *result);
-  const std::string text = os.str();
-  // Three strategy blocks, each terminated by a blank-line pair.
-  size_t blocks = 0, pos = 0;
-  while ((pos = text.find("\n\n\n", pos)) != std::string::npos) {
-    ++blocks;
-    pos += 3;
-  }
-  size_t strategy_comments = 0;
-  pos = 0;
-  while ((pos = text.find("# strategy:", pos)) != std::string::npos) {
-    ++strategy_comments;
-    ++pos;
-  }
-  EXPECT_EQ(strategy_comments, 3u);
-}
-
 TEST(ExperimentTest, RepeatsProduceConfidenceIntervals) {
   auto cfg = TinyConfig();
   cfg.strategies = {"MAGIC"};

@@ -22,12 +22,16 @@
 # jobs=4 identity cases of the recovery, resize, open and control sweeps),
 # then a Release build runs a differential smoke: the same quick sweeps —
 # one of them rebuilding a failed disk while slices migrate — serially and
-# with --jobs 4 must produce byte-identical output, the allocation-count
+# with --jobs 4 must produce byte-identical text and CSV output, the
+# allocation-count
 # and frame-cache tests must pass on the Release frame layout and
 # allocator, the audit differential must hold on a plain, an open and an
 # elastic configuration, and the calendar and
 # MAGIC-build micro benchmarks must run once, as must the MAGIC freeze
-# equivalence tests. Before any build, a lint rejects ASCII control bytes
+# equivalence tests. Every tree also runs the golden label: report bytes
+# (CSV, text reports, manifest digest) pinned across commits, which must
+# hold under every sanitizer and on the Release build. Before any build, a
+# lint rejects ASCII control bytes
 # other than tab and newline in the tracked files under src/, tests/,
 # tools/, examples/ and bench/.
 #
@@ -48,7 +52,7 @@ while [[ $# -gt 0 ]]; do
     --jobs=*) JOBS="${1#*=}"; shift ;;
     --fresh) FRESH=1; shift ;;
     -h|--help)
-      sed -n '2,35p' "$0"; exit 0 ;;
+      sed -n '2,42p' "$0"; exit 0 ;;
     *) echo "unknown option: $1" >&2; exit 2 ;;
   esac
 done
@@ -94,24 +98,24 @@ run_preset() {
 # the threaded catalog-build pass under the sanitizer (the 1,024-node
 # Release-only test self-skips there and runs in the relsmoke tree below).
 run_preset asan DECLUST_ASAN \
-  'kernel|setup|faults|audit|recovery|resize|open|control|scale' \
+  'kernel|setup|faults|audit|recovery|resize|open|control|scale|golden' \
   sim_test alloc_count_test hw_test storage_test workload_test grid_test decluster_test \
   engine_test fault_test audit_test recovery_test resize_test open_test \
-  control_test scale_test audit_sweep
+  control_test scale_test report_golden_test audit_sweep
 run_preset ubsan DECLUST_UBSAN \
-  'kernel|setup|faults|audit|recovery|resize|open|control' \
+  'kernel|setup|faults|audit|recovery|resize|open|control|golden' \
   sim_test alloc_count_test hw_test storage_test workload_test grid_test decluster_test \
   engine_test fault_test audit_test recovery_test resize_test open_test \
-  control_test audit_sweep
+  control_test report_golden_test audit_sweep
 # Threads enter through the ThreadPool: --jobs runs sweep replications side
 # by side, each on its own Simulation. TSAN covers the pool itself and the
 # runner's determinism tests (the threads label), plus the jobs=4 identity
 # cases of the recovery, resize, open and control sweeps — replications that
 # rebuild disks, migrate slices, shed arrivals and actuate the controller
 # concurrently.
-run_preset tsan DECLUST_TSAN 'threads|recovery|resize|open|control' \
+run_preset tsan DECLUST_TSAN 'threads|recovery|resize|open|control|golden' \
   common_test exp_test recovery_test resize_test open_test control_test \
-  audit_sweep
+  report_golden_test audit_sweep
 
 # Release differential smoke: the plain quick sweep, a live resize plan (node
 # added mid-run, then drained back out), a disk failure whose repair rebuilds
@@ -119,8 +123,10 @@ run_preset tsan DECLUST_TSAN 'threads|recovery|resize|open|control' \
 # copying through the one shared page-copy engine), an open arrival plan (two
 # offered loads, Zipf skew, a second relation, an admission cap) and the
 # closed-loop controller must each be byte-identical serially and with
-# --jobs 4. Release mode matters here — it is the configuration where
-# reordering or racy reads would actually surface as digest drift.
+# --jobs 4, both as the text table and as the CSV (which alone carries the
+# CI95, utilization, ctl_* and resize phase columns). Release mode matters
+# here — it is the configuration where reordering or racy reads would
+# actually surface as digest drift.
 echo "=== relsmoke: configure + build (build-relsmoke) ==="
 SMOKE_DIR="$ROOT/build-relsmoke"
 if [[ "$FRESH" == 1 ]]; then rm -rf "$SMOKE_DIR"; fi
@@ -129,8 +135,8 @@ cmake -S "$ROOT" -B "$SMOKE_DIR" \
   -DDECLUST_BUILD_BENCHMARKS=ON \
   -DDECLUST_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "$SMOKE_DIR" -j"$JOBS" --target run_experiment audit_sweep \
-  scale_test alloc_count_test common_test decluster_test micro_sim_kernel \
-  micro_assignment micro_gridfile micro_btree
+  scale_test alloc_count_test common_test decluster_test report_golden_test \
+  micro_sim_kernel micro_assignment micro_gridfile micro_btree
 SMOKE_ARGS=(--strategies range,hash --mpls 4 --repeats 1 --cardinality 20000
             --processors 8 --warmup 500 --measure 2000)
 # Each variant is its extra arguments, '|'-separated.
@@ -147,20 +153,26 @@ SMOKE_VARIANTS=(
 for variant in "${SMOKE_VARIANTS[@]}"; do
   IFS='|' read -r -a extra <<< "$variant"
   label="${extra[0]:-plain}"
-  echo "=== relsmoke: $label serial vs --jobs 4 digest ==="
-  serial="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" \
-    "${extra[@]}")"
-  threaded="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" \
-    "${extra[@]}" --jobs 4)"
-  if [[ "$label" == plain ]]; then SERIAL_OUT="$serial"; fi
-  if [[ "$serial" == "$threaded" ]]; then
-    echo "relsmoke: $label serial and --jobs 4 results are byte-identical"
-  else
-    echo "*** relsmoke: FAILED — $label --jobs 4 changed the results" >&2
-    diff <(printf '%s\n' "$serial") <(printf '%s\n' "$threaded") \
-      | head -40 >&2 || true
-    FAILED=1
-  fi
+  for format in table csv; do
+    fmt=()
+    if [[ "$format" == csv ]]; then fmt=(--csv); fi
+    echo "=== relsmoke: $label $format serial vs --jobs 4 digest ==="
+    serial="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" \
+      "${extra[@]}" "${fmt[@]}")"
+    threaded="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" \
+      "${extra[@]}" "${fmt[@]}" --jobs 4)"
+    if [[ "$label" == plain && "$format" == table ]]; then
+      SERIAL_OUT="$serial"
+    fi
+    if [[ "$serial" == "$threaded" ]]; then
+      echo "relsmoke: $label $format serial and --jobs 4 are byte-identical"
+    else
+      echo "*** relsmoke: FAILED — $label --jobs 4 changed the $format" >&2
+      diff <(printf '%s\n' "$serial") <(printf '%s\n' "$threaded") \
+        | head -40 >&2 || true
+      FAILED=1
+    fi
+  done
 done
 # Parallel-catalog-build differential: the same quick sweep with the
 # two-pass build fanned out over 8 threads (DECLUST_JOBS drives the
@@ -192,6 +204,13 @@ fi
 echo "=== relsmoke: AllocCountTest on the Release frame layout ==="
 if ! "$SMOKE_DIR/tests/alloc_count_test" --gtest_filter='AllocCountTest.*'; then
   echo "*** relsmoke: AllocCountTest FAILED" >&2
+  FAILED=1
+fi
+# The report pins must hold on the Release build as well as under the
+# sanitizers above.
+echo "=== relsmoke: report golden pins on the Release build ==="
+if ! "$SMOKE_DIR/tests/report_golden_test"; then
+  echo "*** relsmoke: report golden pins FAILED" >&2
   FAILED=1
 fi
 # Under the sanitizers the FrameCache passes every frame through the heap,
@@ -297,6 +316,7 @@ if [[ "$FAILED" != 0 ]]; then
   exit 1
 fi
 echo "ci_check: no control bytes," \
-  "kernel|setup|faults|audit|recovery|resize|open|control|scale clean" \
-  "under ASAN/UBSAN, threads|recovery|resize|open|control clean under TSAN," \
-  "serial vs --jobs 4 release digest stable (rebuild-plus-resize included)"
+  "kernel|setup|faults|audit|recovery|resize|open|control|scale|golden clean" \
+  "under ASAN/UBSAN, threads|recovery|resize|open|control|golden clean under" \
+  "TSAN, serial vs --jobs 4 release tables and CSVs stable" \
+  "(rebuild-plus-resize included)"

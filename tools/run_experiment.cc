@@ -11,12 +11,9 @@
 #include <vector>
 
 #include "src/common/atomic_file.h"
-#include "src/exp/control.h"
 #include "src/exp/degraded.h"
 #include "src/exp/interrupt.h"
-#include "src/exp/recovery.h"
 #include "src/exp/report.h"
-#include "src/exp/resize.h"
 #include "src/exp/runner.h"
 #include "src/sim/fault.h"
 #include "tools/cli.h"
